@@ -20,7 +20,6 @@ from .downsample import downsample, mask_key_steps, uniform_downsample
 from .errors import (
     CoordinateRangeError,
     DownsampleError,
-    EmptyBundleError,
     InvalidTrajectoryError,
     MalformedResponseError,
     NumericalError,
@@ -33,12 +32,9 @@ from .estimator import (
     FitConfig,
     StudentTEstimator,
     extract_mean,
-    fit,
     gradient_check,
     log_density,
     log_gamma,
-    loss_gradient,
-    nll_loss,
 )
 from .pipeline import RunReport, run_rip, run_rip_gauss, single_sample
 from .policy import (
@@ -58,7 +54,6 @@ __all__ = [
     "CoordinateRangeError",
     "Demonstration",
     "DownsampleError",
-    "EmptyBundleError",
     "FitConfig",
     "InvalidTrajectoryError",
     "KeypointSet",
@@ -82,14 +77,11 @@ __all__ = [
     "downsample",
     "encode_context",
     "extract_mean",
-    "fit",
     "gradient_check",
     "log_density",
     "log_gamma",
-    "loss_gradient",
     "make_consensus_task",
     "mask_key_steps",
-    "nll_loss",
     "normalize_time",
     "resample_trajectory",
     "run_rip",

@@ -43,15 +43,11 @@ class SuccessSpec:
     event_position_tol: float | None = None
 
 
-def _p0(trajectory: Trajectory) -> np.ndarray:
-    return np.array([a.p0 for a in trajectory.actions])
-
-
 def task_success(candidate: Trajectory, reference: Trajectory,
                  spec: SuccessSpec = SuccessSpec()) -> dict:
     """Judge a candidate trajectory against the task's consensus."""
-    cand_p0 = _p0(candidate)
-    ref_p0 = _p0(reference)
+    cand_p0 = candidate.data[:, 0:3]
+    ref_p0 = reference.data[:, 0:3]
     final_err = float(np.linalg.norm(cand_p0[-1] - ref_p0[-1]))
 
     cand_ev = gripper_transitions(candidate)
@@ -188,21 +184,22 @@ def _fmt_nu(nu: float) -> str:
 SWEEP_CSV_FIELDS = ("q", "nu", "success_rate", "rmse_mean", "rmse_std", "n_trials")
 
 
-def write_sweep_csv(path, results: list, append: bool = False) -> None:
+def _write_csv(path, fields: tuple, rows, append: bool) -> None:
     """Schema-stable CSV; the header is written only when the file is new."""
-    need_header = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
-        need_header = False
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+    need_header = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if need_header:
-            writer.writerow(SWEEP_CSV_FIELDS)
-        for r in results:
-            writer.writerow([
-                r.q, _fmt_nu(r.nu), f"{r.success_rate:.4f}",
-                f"{r.rmse_mean:.6f}", f"{r.rmse_std:.6f}", r.n_trials,
-            ])
+            writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def write_sweep_csv(path, results: list, append: bool = False) -> None:
+    _write_csv(path, SWEEP_CSV_FIELDS, (
+        [r.q, _fmt_nu(r.nu), f"{r.success_rate:.4f}",
+         f"{r.rmse_mean:.6f}", f"{r.rmse_std:.6f}", r.n_trials]
+        for r in results
+    ), append)
 
 
 def two_proportion_band(p1: float, p2: float, n1: int, n2: int, z: float = 1.96) -> float:
@@ -289,19 +286,11 @@ def run_downsample_bench(settings: DownsampleBenchSettings, workers: int = 1) ->
 
 
 def write_downsample_csv(path, rows: list, append: bool = False) -> None:
-    need_header = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
-        need_header = False
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if need_header:
-            writer.writerow(DOWNSAMPLE_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([
-                r["method"], r["seed"], int(r["success"]),
-                f"{r['final_err']:.6f}", f"{r['event_err']:.6f}",
-            ])
+    _write_csv(path, DOWNSAMPLE_CSV_FIELDS, (
+        [r["method"], r["seed"], int(r["success"]),
+         f"{r['final_err']:.6f}", f"{r['event_err']:.6f}"]
+        for r in rows
+    ), append)
 
 
 def downsample_success_rates(rows: list) -> dict:

@@ -2,9 +2,11 @@
 
 An end-effector pose is represented by three 3D points (gripper body and
 both fingertips) plus a binary gripper flag, giving 10 scalar channels per
-action. Trajectories are immutable, time-ordered action sequences; bundles
-are sets of trajectories resampled onto a shared normalized-time grid so
-they can be fitted jointly.
+action. A trajectory is one immutable (T, 10) array of time-ordered
+actions; a bundle is one (Q, T, 10) array of trajectories resampled onto a
+shared normalized-time grid so they can be fitted jointly. ``Action`` is
+the per-step object form, used where actions cross a JSON or text
+boundary.
 """
 
 from __future__ import annotations
@@ -74,39 +76,78 @@ class Action:
         )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered sequence of at least two actions."""
+def _checked_actions(data, ndim: int) -> np.ndarray:
+    """Validate an array of actions in one vectorised pass.
 
-    actions: tuple[Action, ...]
+    ``ndim`` is 2 for a trajectory (T, 10) and 3 for a bundle (Q, T, 10).
+    Requires T >= 2, finite values and a gripper channel in {0, 1}.
+    Returns a read-only float64 copy, so the caller's array stays theirs.
+    """
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidTrajectoryError(f"actions are not a numeric array: {exc}") from exc
+    if arr.ndim != ndim or arr.shape[-1] != ACTION_DIM or arr.shape[-2] < 2 or arr.size == 0:
+        want = "(T, 10)" if ndim == 2 else "(Q, T, 10)"
+        raise InvalidTrajectoryError(f"actions must be {want} with T >= 2, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidTrajectoryError("actions have non-finite values")
+    g = arr[..., GRIPPER_CHANNEL]
+    if not ((g == 0.0) | (g == 1.0)).all():
+        raise InvalidTrajectoryError("gripper state must be 0 or 1")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Time-ordered sequence of at least two actions, stored as one
+    read-only (T, 10) float64 array in the channel layout of ``Action``.
+
+    ``actions`` and ``gripper_states()`` are views built on demand; the
+    array is the trajectory. Equality compares values and ``source``.
+    """
+
+    data: np.ndarray
     source: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if len(self.actions) < 2:
-            raise InvalidTrajectoryError(
-                f"a trajectory needs at least 2 actions, got {len(self.actions)}"
-            )
-        for a in self.actions:
-            if not isinstance(a, Action):
-                raise InvalidTrajectoryError(f"expected Action, got {type(a).__name__}")
+        object.__setattr__(self, "data", _checked_actions(self.data, 2))
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return len(self.data)
+
+    def __array__(self, dtype=None, copy=None):
+        # Lets numpy read trajectories directly, e.g. to stack a bundle.
+        # NumPy 1.x calls this without ``copy``, so None must not reach
+        # ``np.array`` (1.x rejects ``copy=None``).
+        arr = self.data if dtype is None else self.data.astype(dtype)
+        return arr.copy() if copy else arr
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.source == other.source and np.array_equal(self.data, other.data)
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so they are
+        # validated and read-only too.
+        return Trajectory, (self.data, self.source)
+
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        return tuple(Action.from_array(row) for row in self.data)
 
     def to_array(self) -> np.ndarray:
-        """Stack actions into a (T, 10) array."""
-        return np.stack([a.to_array() for a in self.actions])
+        """A writable (T, 10) copy."""
+        return self.data.copy()
 
     @classmethod
     def from_array(cls, arr, source: str | None = None) -> "Trajectory":
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != ACTION_DIM:
-            raise InvalidTrajectoryError(f"trajectory array must be (T, 10), got {arr.shape}")
-        return cls(tuple(Action.from_array(row) for row in arr), source=source)
+        return cls(arr, source=source)
 
     def gripper_states(self) -> tuple[int, ...]:
-        return tuple(a.g for a in self.actions)
+        return tuple(self.data[:, GRIPPER_CHANNEL].astype(int).tolist())
 
 
 @dataclass(frozen=True)
@@ -136,51 +177,57 @@ class Demonstration:
     trajectory: Trajectory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryBundle:
-    """Q candidate trajectories resampled to a common length on a shared grid.
+    """Q candidate trajectories resampled to a common length on a shared grid,
+    stored as one read-only (Q, T, 10) array.
 
-    The grid lives in [0, 1], strictly increasing with fixed endpoints, so
-    bundles from policies that returned different episode lengths are
-    directly comparable step by step.
+    ``data`` also accepts a sequence of equal-length trajectories. The grid
+    lives in [0, 1], strictly increasing with fixed endpoints, so bundles
+    from policies that returned different episode lengths are directly
+    comparable step by step.
     """
 
-    trajectories: tuple[Trajectory, ...]
+    data: np.ndarray
     timesteps: tuple[float, ...]
 
     def __post_init__(self):
-        trajs = tuple(self.trajectories)
+        data = _checked_actions(self.data, 3)
         grid = tuple(float(t) for t in self.timesteps)
-        if not trajs:
-            raise InvalidTrajectoryError("a bundle needs at least one trajectory")
-        length = len(trajs[0])
-        for tr in trajs:
-            if len(tr) != length:
-                raise InvalidTrajectoryError(
-                    f"bundle trajectories must share one length, got {len(tr)} != {length}"
-                )
-        if len(grid) != length:
+        if len(grid) != data.shape[1]:
             raise InvalidTrajectoryError(
-                f"grid length {len(grid)} does not match trajectory length {length}"
+                f"grid length {len(grid)} does not match trajectory length {data.shape[1]}"
             )
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise InvalidTrajectoryError("grid must start at 0 and end at 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidTrajectoryError("grid must be strictly increasing")
-        object.__setattr__(self, "trajectories", trajs)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "timesteps", grid)
+
+    def __eq__(self, other):
+        if not isinstance(other, TrajectoryBundle):
+            return NotImplemented
+        return self.timesteps == other.timesteps and np.array_equal(self.data, other.data)
+
+    def __reduce__(self):
+        return TrajectoryBundle, (self.data, self.timesteps)
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        return tuple(Trajectory(tr) for tr in self.data)
 
     @property
     def query_count(self) -> int:
-        return len(self.trajectories)
+        return self.data.shape[0]
 
     @property
     def length(self) -> int:
-        return len(self.trajectories[0])
+        return self.data.shape[1]
 
     def to_array(self) -> np.ndarray:
-        """Stack to (Q, T, 10)."""
-        return np.stack([tr.to_array() for tr in self.trajectories])
+        """A writable (Q, T, 10) copy."""
+        return self.data.copy()
 
     def grid(self) -> np.ndarray:
         return np.array(self.timesteps)
@@ -217,9 +264,10 @@ def resample_trajectory(trajectory: Trajectory, target_len: int) -> Trajectory:
 
     grid_in = _uniform_grid(len(trajectory))
     grid_out = _uniform_grid(target_len)
-    data = trajectory.to_array()
+    data = trajectory.data
 
     out = np.empty((target_len, ACTION_DIM))
+    # np.interp returns the end samples exactly at the grid's end points.
     for c in POSITION_CHANNELS:
         out[:, c] = np.interp(grid_out, grid_in, data[:, c])
     # Gripper: previous-sample hold. Interpolating a binary channel would
@@ -227,11 +275,7 @@ def resample_trajectory(trajectory: Trajectory, target_len: int) -> Trajectory:
     hold = np.searchsorted(grid_in, grid_out, side="right") - 1
     hold = np.clip(hold, 0, len(trajectory) - 1)
     out[:, GRIPPER_CHANNEL] = data[hold, GRIPPER_CHANNEL]
-
-    actions = [Action.from_array(row) for row in out]
-    actions[0] = trajectory.actions[0]
-    actions[-1] = trajectory.actions[-1]
-    return Trajectory(tuple(actions), source=trajectory.source)
+    return Trajectory(out, source=trajectory.source)
 
 
 def align_bundle(trajectories, target_len: int) -> TrajectoryBundle:

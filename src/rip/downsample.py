@@ -93,8 +93,7 @@ def downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     for (a, b), n in zip(zip(masked, masked[1:]), counts):
         keep.update(_spread_indices(a, b, n))
 
-    actions = tuple(trajectory.actions[i] for i in sorted(keep))
-    return Trajectory(actions, source=trajectory.source)
+    return Trajectory(trajectory.data[sorted(keep)], source=trajectory.source)
 
 
 def uniform_downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
@@ -107,5 +106,4 @@ def uniform_downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     if n <= target_len:
         return trajectory
     idx = np.round(np.linspace(0, n - 1, target_len)).astype(int)
-    actions = tuple(trajectory.actions[int(i)] for i in idx)
-    return Trajectory(actions, source=trajectory.source)
+    return Trajectory(trajectory.data[idx], source=trajectory.source)

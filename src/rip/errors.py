@@ -32,10 +32,6 @@ class TransportError(RipError):
         self.statuses = list(statuses) if statuses is not None else []
 
 
-class EmptyBundleError(RipError):
-    """Every sampled trajectory failed to decode; nothing to aggregate."""
-
-
 class NumericalError(RipError):
     """A likelihood or gradient evaluation produced a non-finite value."""
 

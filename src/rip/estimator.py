@@ -37,52 +37,16 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x):
     """Natural log of the gamma function for positive real input.
 
-    Lanczos approximation with reflection below 0.5; absolute error is
-    well under 1e-10 across [0.5, 100]. Accepts scalars or arrays.
+    Scalars give a float, arrays an array of the same shape.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("log_gamma is defined for positive arguments only")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x < 0.5
-    if np.any(small):
-        xs = x[small]
-        out[small] = (
-            math.log(math.pi)
-            - np.log(np.sin(math.pi * xs))
-            - log_gamma(1.0 - xs)
-        )
-    if np.any(~small):
-        z = x[~small] - 1.0
-        series = np.full_like(z, _LANCZOS_COEFFS[0])
-        for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-            series += c / (z + i)
-        t = z + _LANCZOS_G + 0.5
-        out[~small] = _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(series)
-    return float(out[0]) if scalar else out
+    return math.lgamma(x) if x.ndim == 0 else np.vectorize(math.lgamma, otypes=[float])(x)
 
 
 def t_log_pdf(x, mu, var, nu: float):
@@ -169,7 +133,6 @@ class FitConfig:
     learning_rate: float = 1e-2
     seed: int = 0
     var_floor: float = 1e-6
-    log_gamma_tol: float = 1e-10
 
     def __post_init__(self):
         # A tuple whatever the caller passed, so the config stays hashable.
@@ -365,11 +328,6 @@ def nll_loss_array(data: np.ndarray, grid: np.ndarray, estimator: StudentTEstima
     return total
 
 
-def nll_loss(bundle: TrajectoryBundle, estimator: StudentTEstimator) -> float:
-    """Sum over samples, steps, and channels of the negative log-density."""
-    return nll_loss_array(bundle.to_array(), bundle.grid(), estimator)
-
-
 def log_density(a, t: float, estimator: StudentTEstimator) -> np.ndarray:
     """Per-channel log-density of action value(s) ``a`` at normalized time t.
 
@@ -407,10 +365,6 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     return views
 
 
-def loss_gradient(bundle: TrajectoryBundle, estimator: StudentTEstimator) -> dict:
-    return loss_gradient_array(bundle.to_array(), bundle.grid(), estimator)
-
-
 @dataclass
 class FitTrace:
     """Training diagnostics kept alongside a fitted estimator."""
@@ -423,21 +377,6 @@ class FitTrace:
         return self.loss_curve[-n:]
 
 
-_log_gamma_checked = False
-
-
-def _check_log_gamma(tol: float):
-    """One-time guard that the special-function core meets its tolerance."""
-    global _log_gamma_checked
-    if _log_gamma_checked:
-        return
-    known = [(1.0, 0.0), (0.5, 0.5 * math.log(math.pi)), (10.0, math.log(362880.0))]
-    for x, expect in known:
-        if abs(log_gamma(x) - expect) > tol:
-            raise NumericalError(f"log_gamma({x}) off by more than {tol}")
-    _log_gamma_checked = True
-
-
 def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
     """Seeded minibatch Adam on the NLL of a (Q, T, D) array over grid (T,)."""
     data = np.asarray(data, dtype=float)
@@ -447,7 +386,6 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     n_q, n_t, n_d = data.shape
     if grid.shape != (n_t,):
         raise ValueError(f"grid shape {grid.shape} does not match T={n_t}")
-    _check_log_gamma(config.log_gamma_tol)
 
     rng = np.random.default_rng(config.seed)
     flat_raw = data.reshape(n_q * n_t, n_d)
@@ -574,12 +512,8 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
 
 def fit_with_trace(bundle: TrajectoryBundle, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
-    return fit_array(bundle.to_array(), bundle.grid(), config)
-
-
-def fit(bundle: TrajectoryBundle, config: FitConfig) -> StudentTEstimator:
     """Fit the estimator to an aligned bundle; see FitConfig for knobs."""
-    return fit_with_trace(bundle, config)[0]
+    return fit_array(bundle.data, bundle.grid(), config)
 
 
 def mean_curve(estimator: StudentTEstimator, grid) -> np.ndarray:

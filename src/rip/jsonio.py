@@ -42,7 +42,7 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
 def trajectory_from_dict(obj: dict) -> Trajectory:
     if "actions" not in obj:
         raise InvalidTrajectoryError("trajectory object lacks an 'actions' field")
-    return Trajectory(tuple(action_from_dict(a) for a in obj["actions"]))
+    return Trajectory([action_from_dict(a).to_array() for a in obj["actions"]])
 
 
 def demonstration_to_dict(demo: Demonstration) -> dict:

@@ -15,14 +15,17 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import Action, KeypointSet, Trajectory
+import numpy as np
+
+from .core import ACTION_DIM, GRIPPER_CHANNEL, KeypointSet, Trajectory
 from .errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
 
 # Quantization overflow guard: 10 m at 1 mm resolution stays within 5 digits.
 MAX_COORDINATE_M = 10.0
 MM_PER_M = 1000.0
 
-_INT_TOKEN = re.compile(r"^[+-]?\d+$")
+# One action line: exactly 10 whitespace-separated ASCII integers.
+_ACTION_LINE = re.compile(r"\s*(?:[+-]?[0-9]+\s+){9}[+-]?[0-9]+\s*")
 
 
 @dataclass(frozen=True)
@@ -50,28 +53,30 @@ def default_preamble() -> str:
     return resources.files("rip.data").joinpath("preamble.txt").read_text(encoding="utf-8")
 
 
-def quantize_mm(x: float) -> int:
-    """Meters to integer millimeters, rounding half away from zero."""
-    if abs(x) > MAX_COORDINATE_M:
+def quantize_mm(x):
+    """Meters to integer millimeters, rounding half away from zero.
+
+    Takes a scalar (returns an int) or an array (returns int64).
+    """
+    x = np.asarray(x, dtype=float)
+    over = ~(np.abs(x) <= MAX_COORDINATE_M)  # NaN is out of range too
+    if over.any():
         raise CoordinateRangeError(
-            f"coordinate {x} m exceeds the {MAX_COORDINATE_M} m encodable range"
+            f"coordinate {x[over][0]} m exceeds the {MAX_COORDINATE_M} m encodable range"
         )
-    mm = abs(x) * MM_PER_M
-    q = int(mm + 0.5)
-    return q if x >= 0 else -q
+    mm = (np.sign(x) * np.floor(np.abs(x) * MM_PER_M + 0.5)).astype(np.int64)
+    return int(mm) if mm.ndim == 0 else mm
 
 
-def _keypoint_lines(keypoints: KeypointSet) -> list[str]:
-    return [" ".join(str(quantize_mm(c)) for c in p) for p in keypoints.points]
-
-
-def encode_action(action: Action) -> str:
-    coords = [quantize_mm(c) for p in (action.p0, action.p1, action.p2) for c in p]
-    return " ".join(str(v) for v in coords) + f" {action.g}"
+def _int_lines(rows: np.ndarray) -> list[str]:
+    return [" ".join(map(str, row)) for row in rows.tolist()]
 
 
 def encode_action_block(trajectory: Trajectory) -> str:
-    return "\n".join(encode_action(a) for a in trajectory.actions)
+    """One line per action: nine millimeter coordinates, then the gripper flag."""
+    ints = quantize_mm(trajectory.data[:, :GRIPPER_CHANNEL])
+    flags = trajectory.data[:, GRIPPER_CHANNEL].astype(np.int64)
+    return "\n".join(_int_lines(np.column_stack([ints, flags])))
 
 
 def encode_context(context: PolicyContext, preamble: str | None = None) -> str:
@@ -80,37 +85,28 @@ def encode_context(context: PolicyContext, preamble: str | None = None) -> str:
     for i, (keypoints, trajectory) in enumerate(context.demonstrations, start=1):
         parts.append(f"DEMONSTRATION {i}")
         parts.append("KEYPOINTS:")
-        parts.extend(_keypoint_lines(keypoints))
+        parts.extend(_int_lines(quantize_mm(keypoints.to_array())))
         parts.append("ACTIONS:")
         parts.append(encode_action_block(trajectory))
         parts.append("")
     parts.append("QUERY:")
-    parts.extend(_keypoint_lines(context.query_keypoints))
+    parts.extend(_int_lines(quantize_mm(context.query_keypoints.to_array())))
     parts.append("ACTIONS:")
     return "\n".join(parts) + "\n"
-
-
-def _parse_action_line(line: str) -> list[int] | None:
-    tokens = line.split()
-    if len(tokens) != 10 or not all(_INT_TOKEN.match(t) for t in tokens):
-        return None
-    return [int(t) for t in tokens]
 
 
 def decode_trajectory(text: str) -> Trajectory:
     """Parse the first well-formed action block out of untrusted model output.
 
     A well-formed block is a run of at least two consecutive lines of
-    exactly 10 integers each. Raises MalformedResponseError when no block
-    exists or a gripper token is outside {0, 1}.
+    exactly 10 ASCII integers each. Raises MalformedResponseError when no
+    block exists, a coordinate lies outside the encodable range of
+    +-MAX_COORDINATE_M, or a gripper token is outside {0, 1}.
     """
-    lines = text.splitlines()
-    parsed = [_parse_action_line(ln) for ln in lines]
-
-    block: list[list[int]] = []
-    for row in parsed + [None]:  # trailing None flushes the final run
-        if row is not None:
-            block.append(row)
+    block: list[str] = []
+    for line in text.splitlines():
+        if _ACTION_LINE.fullmatch(line):
+            block.append(line)
         elif len(block) >= 2:
             break
         else:
@@ -121,12 +117,17 @@ def decode_trajectory(text: str) -> Trajectory:
             "no action block found: expected >= 2 consecutive lines of 10 integers"
         )
 
-    actions = []
-    for row in block:
-        g = row[9]
-        if g not in (0, 1):
-            raise MalformedResponseError(f"gripper token must be 0 or 1, got {g}")
-        coords = [v / MM_PER_M for v in row[:9]]
-        actions.append(Action(p0=tuple(coords[0:3]), p1=tuple(coords[3:6]),
-                              p2=tuple(coords[6:9]), g=g))
-    return Trajectory(tuple(actions), source="sampled")
+    # Parsed as floats, a token of any length is a number (inf at worst)
+    # that the range check rejects; the integer parser would refuse or
+    # overflow on a long enough one.
+    values = np.array(" ".join(block).split(), dtype=float).reshape(len(block), ACTION_DIM)
+    if np.abs(values[:, :GRIPPER_CHANNEL]).max() > MAX_COORDINATE_M * MM_PER_M:
+        raise MalformedResponseError(
+            f"action coordinate outside the {MAX_COORDINATE_M} m encodable range"
+        )
+    g = values[:, GRIPPER_CHANNEL]
+    if not ((g == 0) | (g == 1)).all():
+        raise MalformedResponseError("gripper token must be 0 or 1")
+    data = values + 0.0  # a "-0" token parses to -0.0; the integer it names has no sign
+    data[:, :GRIPPER_CHANNEL] /= MM_PER_M
+    return Trajectory(data, source="sampled")

@@ -15,11 +15,13 @@ def make_action(x=0.0, y=0.0, z=0.0, g=0):
 
 
 def line_trajectory(n, x0=0.0, x1=1.0, g=None, source=None):
-    """Straight line in x; g is an optional per-step gripper sequence."""
-    xs = np.linspace(x0, x1, n)
-    gs = g if g is not None else [0] * n
-    return Trajectory(tuple(make_action(x=float(x), g=int(gv)) for x, gv in zip(xs, gs)),
-                      source=source)
+    """Straight line in x; g is an optional per-step gripper sequence.
+    Each step has the pose of make_action(x=x, g=g)."""
+    arr = np.zeros((n, 10))
+    arr[:, [0, 3, 6]] = np.linspace(x0, x1, n)[:, None]
+    arr[:, [4, 5, 7, 8]] = (0.035, -0.02, -0.035, -0.02)
+    arr[:, 9] = g if g is not None else 0
+    return Trajectory(arr, source=source)
 
 
 def random_trajectory(rng, n=None, n_transitions=0, box=5.0):
@@ -37,11 +39,7 @@ def random_trajectory(rng, n=None, n_transitions=0, box=5.0):
             g[prev:cut] = state
             state = 1 - state
             prev = cut
-    actions = tuple(
-        Action(p0=tuple(row[0:3]), p1=tuple(row[3:6]), p2=tuple(row[6:9]), g=int(gv))
-        for row, gv in zip(pts, g)
-    )
-    return Trajectory(actions)
+    return Trajectory(np.column_stack([pts, g]))
 
 
 def keypoints(k=10, seed=0):

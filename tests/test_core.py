@@ -40,11 +40,33 @@ class TestAction:
 class TestTrajectory:
     def test_needs_two_actions(self):
         with pytest.raises(InvalidTrajectoryError):
-            Trajectory((make_action(),))
+            Trajectory(make_action().to_array()[None])
 
     def test_array_roundtrip(self, rng):
         tr = random_trajectory(rng, n=15, n_transitions=2)
-        assert Trajectory.from_array(tr.to_array()) == Trajectory(tr.actions)
+        assert Trajectory.from_array(tr.to_array()) == Trajectory(
+            np.stack([a.to_array() for a in tr.actions]))
+
+    def test_array_protocol_without_copy_argument(self, rng):
+        # NumPy 1.x calls __array__ with no ``copy``; NumPy 2 may pass one.
+        tr = random_trajectory(rng, n=5)
+        np.testing.assert_array_equal(tr.__array__(), tr.data)
+        assert tr.__array__(np.float32).dtype == np.float32
+        assert tr.__array__(copy=True).flags.writeable
+        np.testing.assert_array_equal(
+            TrajectoryBundle([tr, tr], tuple(np.linspace(0, 1, 5))).data, np.stack([tr.data] * 2))
+
+    def test_read_only_through_copies(self, rng):
+        import copy
+        import pickle
+
+        tr = random_trajectory(rng, n=6)
+        bundle = align_bundle([tr], 6)
+        for obj in (tr, bundle):
+            for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert clone == obj
+                with pytest.raises(ValueError):
+                    clone.data[0, 0] = 1.0
 
 
 class TestNormalizeTime:

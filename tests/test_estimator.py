@@ -19,10 +19,8 @@ from rip.estimator import (
     gradient_check,
     log_density,
     log_gamma,
-    loss_gradient,
     loss_gradient_array,
     mean_curve,
-    nll_loss,
     nll_loss_array,
 )
 
@@ -175,14 +173,6 @@ class TestNllLoss:
         far = constant_estimator([7.0], [1.0], nu=1.5)
         assert nll_loss_array(data, grid, near) < nll_loss_array(data, grid, far)
 
-    def test_bundle_api_matches_array_api(self, rng):
-        from conftest import random_trajectory
-
-        bundle = align_bundle([random_trajectory(rng, n=9), random_trajectory(rng, n=12)], 12)
-        est = constant_estimator([0.0] * 10, [1.0] * 10, nu=1.5)
-        assert nll_loss(bundle, est) == pytest.approx(
-            nll_loss_array(bundle.to_array(), bundle.grid(), est))
-
 
 class TestLossGradient:
     def test_matches_central_differences(self, rng):
@@ -221,7 +211,7 @@ class TestLossGradient:
 
         bundle = align_bundle([random_trajectory(rng, n=8)], 8)
         est = constant_estimator([0.1] * 10, [1.0] * 10, nu=1.5)
-        grads = loss_gradient(bundle, est)
+        grads = loss_gradient_array(bundle.to_array(), bundle.grid(), est)
         assert set(grads) == set(PARAM_KEYS)
 
     def test_builtin_checker_is_tight(self):

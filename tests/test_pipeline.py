@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 import rip.pipeline
+import rip.policy
 from rip.bench import trajectory_rmse
+from rip.core import Action, align_bundle
 from rip.errors import PipelineError
 from rip.estimator import FitConfig
 from rip.pipeline import run_rip, run_rip_gauss, single_sample
 from rip.policy import (
     PolicyConfig,
+    RemoteConfig,
+    RemotePolicyClient,
     SampleResult,
     SyntheticOracleConfig,
     make_consensus_task,
+    sample_with_client,
 )
+from rip.tokens import encode_action_block
 
 
 def oracle(seed, shape="pick", **kw):
@@ -100,6 +106,14 @@ class TestRip:
         with pytest.raises(PipelineError):
             run_rip(ctx, policy(6), FIT)
 
+    def test_all_malformed_remote_run_is_pipeline_error(self, monkeypatch):
+        ctx, _ = make_consensus_task(6, "reach")
+        monkeypatch.setattr(rip.policy, "_default_post",
+                            lambda url, body, timeout, headers: {"completion": "no numbers"})
+        remote = RemoteConfig(endpoint="https://policy.example/v1/complete", max_retries=1)
+        with pytest.raises(PipelineError):
+            run_rip(ctx, PolicyConfig(backend="remote", query_count=3, remote=remote), FIT)
+
     def test_failed_slots_shrink_bundle_but_not_report(self, monkeypatch):
         ctx, consensus = make_consensus_task(7, "reach")
         real = rip.pipeline.sample_trajectories
@@ -113,6 +127,41 @@ class TestRip:
         assert report.decoded_count == 4
         assert report.sample_status[0] == "malformed"
         assert len(report.sample_status) == 5
+
+
+class TestArrayBoundary:
+    """Trajectories stay arrays from sampling through extraction; Action
+    objects are built only where JSON or text is read or written."""
+
+    @pytest.fixture
+    def actions_built(self, monkeypatch):
+        count = {"n": 0}
+        post_init = Action.__post_init__
+
+        def counting(action):
+            count["n"] += 1
+            post_init(action)
+
+        monkeypatch.setattr(Action, "__post_init__", counting)
+        return count
+
+    def test_synthetic_run_builds_no_actions(self, actions_built):
+        ctx, _ = make_consensus_task(0, "pick")
+        run_rip(ctx, policy(0, noise_scale=0.005, length_jitter=(-3, 3)),
+                replace(FIT, seed=0, steps=100))
+        assert actions_built["n"] == 0
+
+    def test_remote_sampling_and_alignment_build_no_actions(self, actions_built):
+        ctx, consensus = make_consensus_task(1, "pick")
+        text = encode_action_block(consensus)
+        remote = RemoteConfig(endpoint="https://policy.example/v1/complete")
+        client = RemotePolicyClient(
+            remote, post_fn=lambda url, body, timeout, headers: {"completion": text})
+        samples = sample_with_client(
+            ctx, PolicyConfig(backend="remote", query_count=5, remote=remote), client)
+        align_bundle([s.trajectory for s in samples], len(consensus) + 4)
+        assert all(s.ok for s in samples)
+        assert actions_built["n"] == 0
 
 
 class TestRipGauss:

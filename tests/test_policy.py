@@ -6,7 +6,7 @@ import pytest
 
 from rip.core import Trajectory
 from rip.downsample import gripper_transitions
-from rip.errors import EmptyBundleError, TransportError
+from rip.errors import TransportError
 from rip.policy import (
     PolicyConfig,
     RemoteConfig,
@@ -173,8 +173,8 @@ class TestRemoteClient:
 
         client = RemotePolicyClient(remote_config(max_retries=2), post_fn=post)
         cfg = PolicyConfig(backend="remote", query_count=2, remote=remote_config())
-        with pytest.raises(EmptyBundleError):
-            sample_with_client(ctx, cfg, client)
+        results = sample_with_client(ctx, cfg, client)
+        assert [r.status for r in results] == ["malformed", "malformed"]
         assert attempts["n"] == 2 * 3  # two queries, three attempts each
 
     def test_partial_malformed_keeps_slot_markers(self):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import keypoints, line_trajectory, make_action, random_trajectory
 
 from rip.core import Trajectory
 from rip.errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
 from rip.tokens import (
+    MAX_COORDINATE_M,
     PolicyContext,
     decode_trajectory,
     encode_action_block,
@@ -62,7 +64,7 @@ class TestEncodeContext:
             )
 
     def test_out_of_range_coordinate_raises(self):
-        tr = Trajectory((make_action(x=11.0), make_action(x=11.0)))
+        tr = Trajectory(np.stack([make_action(x=11.0).to_array()] * 2))
         ctx = PolicyContext(demonstrations=((keypoints(3), tr),),
                             query_keypoints=keypoints(3))
         with pytest.raises(CoordinateRangeError):
@@ -119,6 +121,44 @@ class TestDecode:
         assert back.actions[0].p0[0] == pytest.approx(0.1)
         assert back.actions[1].p0[0] == pytest.approx(0.2)
         assert back.actions[1].g == 1
+
+
+# Untrusted model output: prose mixed with lines of ten integers of any size.
+_coordinate = st.one_of(
+    st.integers(-10_000, 10_000).map(str),
+    st.integers().map(str),
+    st.builds(str.__add__, st.sampled_from(["", "+", "-"]),
+              st.text("0123456789", min_size=1, max_size=450)),
+)
+_action_line = st.builds(
+    lambda coords, flag: " ".join(coords + [flag]),
+    st.lists(_coordinate, min_size=9, max_size=9),
+    st.one_of(st.sampled_from(["0", "1"]), st.integers().map(str)),
+)
+_response = st.lists(st.one_of(_action_line, st.text(max_size=30)), max_size=8).map("\n".join)
+
+
+class TestDecodeUntrusted:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_response)
+    @example("\n".join(["1" * 400 + " 0 0 0 0 0 0 0 0 0"] * 2))
+    @example("99999 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1")
+    def test_decodes_in_range_or_is_malformed(self, text):
+        try:
+            back = decode_trajectory(text)
+        except MalformedResponseError:
+            return
+        arr = back.to_array()
+        assert np.abs(arr[:, :9]).max() <= MAX_COORDINATE_M
+        assert set(arr[:, 9].tolist()) <= {0.0, 1.0}
+
+    def test_range_edge_and_leading_zeros(self):
+        edge = decode_trajectory("10000 -10000 0 0 0 0 0 0 0 0\n"
+                                 "+0000000000010000 -00 0 0 0 0 0 0 0 1")
+        assert edge.to_array()[:, :2].tolist() == [[10.0, -10.0], [10.0, 0.0]]
+        assert not np.signbit(edge.to_array()[1, 1])  # "-00" names the integer 0
+        with pytest.raises(MalformedResponseError):
+            decode_trajectory("10001 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1")
 
 
 class TestInjectivity:
