@@ -132,36 +132,27 @@ def run_cell_trial(q: int, nu: float, seed: int, settings: SweepSettings) -> tup
     return outcome["success"], trajectory_rmse(trajectory, consensus)
 
 
-def _sweep_worker(args):
-    cell_index, trial_index, q, nu, settings = args
-    seed = trial_seed(settings.master_seed, cell_index, trial_index)
-    success, rmse = run_cell_trial(q, nu, seed, settings)
-    return cell_index, trial_index, success, rmse
+def _map_trials(fn, workers: int, chunksize: int, *args) -> list:
+    """``fn`` over the zipped argument lists, in a process pool when
+    ``workers`` > 1; results come back in job order either way."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *args, chunksize=chunksize))
+    return list(map(fn, *args))
 
 
 def run_sweep(settings: SweepSettings, workers: int = 1) -> list[CellResult]:
     """Run the full (Q, nu) grid and aggregate per-cell metrics."""
     cells = settings.cells()
-    if not cells:
+    if not cells or settings.trials < 1:
         raise ValueError("empty sweep grid")
-    jobs = [
-        (ci, ti, q, nu, settings)
-        for ci, (q, nu) in enumerate(cells)
-        for ti in range(settings.trials)
-    ]
-    outcomes: dict[tuple[int, int], tuple[bool, float]] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ci, ti, success, rmse in pool.map(_sweep_worker, jobs, chunksize=4):
-                outcomes[(ci, ti)] = (success, rmse)
-    else:
-        for job in jobs:
-            ci, ti, success, rmse = _sweep_worker(job)
-            outcomes[(ci, ti)] = (success, rmse)
+    jobs = [(q, nu, trial_seed(settings.master_seed, ci, ti), settings)
+            for ci, (q, nu) in enumerate(cells) for ti in range(settings.trials)]
+    outcomes = _map_trials(run_cell_trial, workers, 4, *zip(*jobs))
 
     results = []
     for ci, (q, nu) in enumerate(cells):
-        per = [outcomes[(ci, ti)] for ti in range(settings.trials)]
+        per = outcomes[ci * settings.trials:(ci + 1) * settings.trials]
         successes = [s for s, _ in per]
         rmses = np.array([r for _, r in per])
         results.append(
@@ -260,29 +251,12 @@ def run_downsample_trial(seed: int, method: str,
     return outcome
 
 
-def _downsample_worker(args):
-    index, seed, method, settings = args
-    return index, run_downsample_trial(seed, method, settings)
-
-
 def run_downsample_bench(settings: DownsampleBenchSettings, workers: int = 1) -> list[dict]:
-    jobs = []
-    index = 0
-    for s in range(settings.n_seeds):
-        seed = trial_seed(settings.master_seed, 0, s)
-        for method in DOWNSAMPLE_METHODS:
-            jobs.append((index, seed, method, settings))
-            index += 1
-    rows: dict[int, dict] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in pool.map(_downsample_worker, jobs, chunksize=2):
-                rows[i] = row
-    else:
-        for job in jobs:
-            i, row = _downsample_worker(job)
-            rows[i] = row
-    return [rows[i] for i in range(len(jobs))]
+    seeds = [trial_seed(settings.master_seed, 0, s) for s in range(settings.n_seeds)
+             for _method in DOWNSAMPLE_METHODS]
+    methods = DOWNSAMPLE_METHODS * settings.n_seeds
+    return _map_trials(run_downsample_trial, workers, 2, seeds, methods,
+                       [settings] * len(seeds))
 
 
 def write_downsample_csv(path, rows: list, append: bool = False) -> None:

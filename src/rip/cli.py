@@ -183,8 +183,7 @@ def cmd_sweep(args) -> int:
     bench.write_sweep_csv(args.out, results, append=args.append)
     print(f"wrote {args.out}")
     for r in results:
-        nu_txt = "inf" if math.isinf(r.nu) else f"{r.nu:g}"
-        print(f"  q={r.q} nu={nu_txt}: success {r.success_rate:.2%}, "
+        print(f"  q={r.q} nu={bench._fmt_nu(r.nu)}: success {r.success_rate:.2%}, "
               f"rmse {r.rmse_mean * 1000:.1f} mm over {r.n_trials} trials")
     if args.plot_data:
         _write_plot_data(Path(args.plot_data), results)
@@ -241,8 +240,7 @@ def cmd_downsample_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    nus = (math.inf,) if args.nu and args.nu.lower() in ("inf", "infinity") else \
-        (1.25, 1.5, 3.0, math.inf) if not args.nu else (_parse_nu(args.nu),)
+    nus = (_parse_nu(args.nu),) if args.nu else (1.25, 1.5, 3.0, math.inf)
     worst = gradient_check(seed=args.seed, n_configs=args.configs, nus=nus)
     print(f"max relative gradient error over {args.configs} configs: {worst:.3e}")
     if worst > args.tolerance:

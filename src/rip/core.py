@@ -23,10 +23,6 @@ ACTION_DIM = 10
 GRIPPER_CHANNEL = 9
 POSITION_CHANNELS = tuple(range(9))
 
-SOURCE_DEMONSTRATION = "demonstration"
-SOURCE_SAMPLED = "sampled"
-SOURCE_AGGREGATED = "aggregated"
-
 
 def _as_point(value, name: str) -> tuple[float, float, float]:
     pt = tuple(float(v) for v in value)
@@ -179,39 +175,27 @@ class Demonstration:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBundle:
-    """Q candidate trajectories resampled to a common length on a shared grid,
-    stored as one read-only (Q, T, 10) array.
+    """Q candidate trajectories resampled to a common length T, stored as
+    one read-only (Q, T, 10) array.
 
     ``data`` also accepts a sequence of equal-length trajectories. The grid
-    lives in [0, 1], strictly increasing with fixed endpoints, so bundles
-    from policies that returned different episode lengths are directly
-    comparable step by step.
+    is derived from T: the uniform normalized grid {(t-1)/(T-1)}, so
+    bundles from policies that returned different episode lengths are
+    directly comparable step by step.
     """
 
     data: np.ndarray
-    timesteps: tuple[float, ...]
 
     def __post_init__(self):
-        data = _checked_actions(self.data, 3)
-        grid = tuple(float(t) for t in self.timesteps)
-        if len(grid) != data.shape[1]:
-            raise InvalidTrajectoryError(
-                f"grid length {len(grid)} does not match trajectory length {data.shape[1]}"
-            )
-        if grid[0] != 0.0 or grid[-1] != 1.0:
-            raise InvalidTrajectoryError("grid must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidTrajectoryError("grid must be strictly increasing")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "timesteps", grid)
+        object.__setattr__(self, "data", _checked_actions(self.data, 3))
 
     def __eq__(self, other):
         if not isinstance(other, TrajectoryBundle):
             return NotImplemented
-        return self.timesteps == other.timesteps and np.array_equal(self.data, other.data)
+        return np.array_equal(self.data, other.data)
 
     def __reduce__(self):
-        return TrajectoryBundle, (self.data, self.timesteps)
+        return TrajectoryBundle, (self.data,)
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -230,7 +214,7 @@ class TrajectoryBundle:
         return self.data.copy()
 
     def grid(self) -> np.ndarray:
-        return np.array(self.timesteps)
+        return _uniform_grid(self.length)
 
 
 def normalize_time(trajectory: Trajectory) -> np.ndarray:
@@ -291,4 +275,4 @@ def align_bundle(trajectories, target_len: int) -> TrajectoryBundle:
     if target_len < 2:
         raise InvalidTrajectoryError(f"target length must be >= 2, got {target_len}")
     resampled = tuple(resample_trajectory(tr, target_len) for tr in trajs)
-    return TrajectoryBundle(resampled, tuple(_uniform_grid(target_len)))
+    return TrajectoryBundle(resampled)

@@ -154,77 +154,89 @@ class FitConfig:
 class StudentTEstimator:
     """Fitted mean/variance networks plus the degrees of freedom.
 
-    Immutable after fitting; evaluation is pure and thread-safe. ``nu``
-    is a positive float, or ``inf`` for the Gaussian ablation. The
-    networks operate on per-channel standardized values (shift/scale);
-    evaluation maps back to raw units, so the likelihood channels with
-    very different spreads stay equally well conditioned during training.
+    Immutable after fitting; evaluation is pure and thread-safe. ``theta``
+    is the flat parameter vector in the ``_flat_params`` layout; ``params``
+    gives per-key views of it. ``nu`` is a positive float, or ``inf`` for
+    the Gaussian ablation. The networks operate on per-channel standardized
+    values (``channel_shift``/``channel_scale``, each (D,)); evaluation maps
+    back to raw units, so the likelihood channels with very different
+    spreads stay equally well conditioned during training.
     """
 
-    params: dict
+    theta: np.ndarray
     nu: float
     hidden: tuple[int, int]
     n_channels: int
-    var_floor: float = 1e-6
-    channel_shift: np.ndarray | None = None
-    channel_scale: np.ndarray | None = None
+    var_floor: float
+    channel_shift: np.ndarray
+    channel_scale: np.ndarray
 
     SCHEMA_VERSION = 1
 
-    def affine(self) -> tuple:
-        shift = 0.0 if self.channel_shift is None else self.channel_shift
-        scale = 1.0 if self.channel_scale is None else self.channel_scale
-        return shift, scale
+    @property
+    def params(self) -> dict:
+        return _flat_params(self.hidden, self.n_channels, self.theta)[1]
+
+    def _layers(self) -> list:
+        return _flat_params(self.hidden, self.n_channels, self.theta)[2]
 
     def mean_and_variance(self, tgrid) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate mu(t) and var(t) on a grid, raw units; both (T, D)."""
         X1 = _with_bias_column(time_features(tgrid))
-        mu_net, s_raw = _forward(_stack_params(self.params), X1)[2]
-        shift, scale = self.affine()
-        return mu_net * scale + shift, _softplus(s_raw) * scale**2 + self.var_floor
+        mu_net, s_raw = _forward(self._layers(), X1)[2]
+        scale = self.channel_scale
+        return mu_net * scale + self.channel_shift, _softplus(s_raw) * scale**2 + self.var_floor
 
     def to_dict(self) -> dict:
-        shift, scale = self.affine()
+        params = self.params
         return {
             "schema_version": self.SCHEMA_VERSION,
             "nu": str(self.nu),
             "hidden": list(self.hidden),
             "n_channels": self.n_channels,
             "var_floor": self.var_floor,
-            "channel_shift": np.broadcast_to(shift, (self.n_channels,)).tolist(),
-            "channel_scale": np.broadcast_to(scale, (self.n_channels,)).tolist(),
-            "params": {k: self.params[k].tolist() for k in PARAM_KEYS},
+            "channel_shift": self.channel_shift.tolist(),
+            "channel_scale": self.channel_scale.tolist(),
+            "params": {k: params[k].tolist() for k in PARAM_KEYS},
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StudentTEstimator":
         if obj.get("schema_version") != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported estimator schema: {obj.get('schema_version')!r}")
-        params = {k: np.asarray(obj["params"][k], dtype=float) for k in PARAM_KEYS}
+        hidden, n_channels = tuple(obj["hidden"]), int(obj["n_channels"])
+        theta, params, _ = _flat_params(hidden, n_channels)
+        for k in PARAM_KEYS:
+            params[k][...] = obj["params"][k]
         return cls(
-            params=params,
+            theta=theta,
             nu=float(obj["nu"]),
-            hidden=tuple(obj["hidden"]),
-            n_channels=int(obj["n_channels"]),
+            hidden=hidden,
+            n_channels=n_channels,
             var_floor=float(obj["var_floor"]),
             channel_shift=np.asarray(obj["channel_shift"], dtype=float),
             channel_scale=np.asarray(obj["channel_scale"], dtype=float),
         )
 
 
-def _flat_params(hidden, n_channels):
+def _flat_params(hidden, n_channels, theta=None):
     """One flat buffer holding both heads, so the optimizer can act on a
     single vector.
 
     Layer k is a (2, fan_in + 1, fan_out) stack: mu head first, weight rows
     then the bias as the last row. Training runs both heads with one call
     per layer, and a ones column on the input features folds the first
-    layer's bias into its matmul. Returns the buffer, the per-key views
-    (``params``) and the three layer stacks.
+    layer's bias into its matmul. Returns the buffer (new zeros unless
+    ``theta`` is given), the per-key views (``params``) and the three
+    layer stacks, all views of the buffer.
     """
     h1, h2 = hidden
     fans = ((FEATURE_DIM, h1), (h1, h2), (h2, n_channels))
-    theta = np.zeros(2 * sum((n_in + 1) * n_out for n_in, n_out in fans))
+    size = 2 * sum((n_in + 1) * n_out for n_in, n_out in fans)
+    if theta is None:
+        theta = np.zeros(size)
+    elif theta.shape != (size,):
+        raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
     params, layers = {}, []
     offset = 0
     for k, (n_in, n_out) in enumerate(fans, start=1):
@@ -236,16 +248,6 @@ def _flat_params(hidden, n_channels):
             params[f"{head}_b{k}"] = layer[i, n_in]
         offset += size
     return theta, params, layers
-
-
-def _stack_params(params: dict) -> list:
-    """Copy a per-key parameter dict into the stacked layout of
-    ``_flat_params``; returns the three layer stacks."""
-    hidden = (params["mu_W1"].shape[1], params["mu_W2"].shape[1])
-    _theta, views, layers = _flat_params(hidden, params["mu_W3"].shape[1])
-    for k in PARAM_KEYS:
-        views[k][...] = params[k]
-    return layers
 
 
 def _with_bias_column(X):
@@ -349,18 +351,18 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     finite-difference checks on it cover the fit's gradients too.
     """
     X1 = _with_bias_column(time_features(grid))
-    layers = _stack_params(estimator.params)
+    layers = estimator._layers()
     h1, h2, (mu_net, s_raw) = _forward(layers, X1)
-    shift, scale = estimator.affine()
-    scale2 = np.asarray(scale) ** 2
+    scale = estimator.channel_scale
+    scale2 = scale**2
     soft = _softplus(s_raw)
-    mu = mu_net * scale + shift
+    mu = mu_net * scale + estimator.channel_shift
     var = soft * scale2 + estimator.var_floor
     dmu_e, dvar_e = _nll_partials(data, mu[None, :, :], var[None, :, :], estimator.nu)
     # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
     dout = np.stack([dmu_e.sum(axis=0) * scale,
                      dvar_e.sum(axis=0) * scale2 * np.exp(s_raw - soft)])
-    _grad, views, grads = _flat_params((h1.shape[2], h2.shape[2]), mu_net.shape[1])
+    _grad, views, grads = _flat_params(estimator.hidden, estimator.n_channels)
     _backward(layers, X1.T, h1, h2, dout, grads)
     return views
 
@@ -398,8 +400,8 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     data_std = (data - shift) / scale
     floor_std = config.var_floor / scale**2
 
-    theta, params, layers = _init_params(rng, config.hidden, n_d, data_std,
-                                         config.var_floor, config.nu)
+    theta, _, layers = _init_params(rng, config.hidden, n_d, data_std,
+                                    config.var_floor, config.nu)
     grad, _, grads = _flat_params(config.hidden, n_d)
     n_h1, n_h2 = config.hidden
     # Every pair at grid step t feeds the networks the same input, so both
@@ -412,7 +414,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     t_of_pair = np.tile(np.arange(n_t), n_q)
     grid_index = np.arange(n_t)[:, None]
 
-    est = StudentTEstimator(params=params, nu=config.nu, hidden=tuple(config.hidden),
+    est = StudentTEstimator(theta=theta, nu=config.nu, hidden=tuple(config.hidden),
                             n_channels=n_d, var_floor=config.var_floor,
                             channel_shift=shift, channel_scale=scale)
 
@@ -491,10 +493,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         theta -= buf
 
         if step % log_every == 0 or step == config.steps:
-            full = nll_loss_array(data, grid, est)
-            if not math.isfinite(full):
-                raise TrainingError(f"loss became non-finite at step {step}", step=step)
-            curve.append((step, full))
+            curve.append((step, nll_loss_array(data, grid, est)))
 
     losses = [l for _, l in curve]
     tail_n = max(1, len(losses) // 10)
@@ -540,24 +539,22 @@ def extract_mean(estimator: StudentTEstimator, grid) -> Trajectory:
 
 def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
                                estimator: StudentTEstimator, step: float = 1e-5) -> dict:
-    """Central-difference gradient of the total NLL, for verification."""
-    grads = {}
-    for k in PARAM_KEYS:
-        p = estimator.params[k]
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + step
-            hi = nll_loss_array(data, grid, estimator)
-            p[idx] = orig - step
-            lo = nll_loss_array(data, grid, estimator)
-            p[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * step)
-            it.iternext()
-        grads[k] = g
-    return grads
+    """Central-difference gradient of the total NLL, for verification.
+
+    Perturbs ``estimator.theta`` in place one entry at a time and restores
+    it; returns per-key views of the gradient, like ``loss_gradient_array``.
+    """
+    theta = estimator.theta
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        hi = nll_loss_array(data, grid, estimator)
+        theta[i] = orig - step
+        lo = nll_loss_array(data, grid, estimator)
+        theta[i] = orig
+        g[i] = (hi - lo) / (2.0 * step)
+    return _flat_params(estimator.hidden, estimator.n_channels, g)[1]
 
 
 def gradient_check(seed: int = 0, n_configs: int = 20,
@@ -574,12 +571,12 @@ def gradient_check(seed: int = 0, n_configs: int = 20,
         grid = np.linspace(0.0, 1.0, n_t)
         data = rng.normal(0.0, 1.0, (n_q, n_t, n_d))
         hidden = (int(rng.integers(4, 9)), int(rng.integers(4, 9)))
-        _theta, params, _layers = _init_params(rng, hidden, n_d, data, 1e-6, nu)
+        theta, params, _layers = _init_params(rng, hidden, n_d, data, 1e-6, nu)
         # Perturb the zero-initialized output weights so the check covers
         # a generic point in parameter space.
         for head in ("mu", "s"):
-            params[f"{head}_W3"] = rng.normal(0.0, 0.3, params[f"{head}_W3"].shape)
-        est = StudentTEstimator(params=params, nu=nu, hidden=hidden,
+            params[f"{head}_W3"][...] = rng.normal(0.0, 0.3, params[f"{head}_W3"].shape)
+        est = StudentTEstimator(theta=theta, nu=nu, hidden=hidden,
                                 n_channels=n_d, var_floor=1e-6,
                                 channel_shift=rng.normal(0.0, 1.0, n_d),
                                 channel_scale=rng.uniform(0.5, 2.0, n_d))

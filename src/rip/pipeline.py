@@ -52,17 +52,7 @@ class RunReport:
         return counts
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "query_count": self.query_count,
-            "sample_status": list(self.sample_status),
-            "decoded_count": self.decoded_count,
-            "bundle_length": self.bundle_length,
-            "final_loss": self.final_loss,
-            "loss_curve_tail": [[s, l] for s, l in self.loss_curve_tail],
-            "config_echo": _jsonable(self.config_echo),
-            "timings": self.timings,
-        }
+        return _jsonable(asdict(self))
 
 
 def _aggregate(context: PolicyContext, policy: PolicyConfig, fit_cfg: FitConfig,

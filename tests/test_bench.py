@@ -122,6 +122,8 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(tiny_sweep_settings(q_values=()))
+        with pytest.raises(ValueError):
+            run_sweep(tiny_sweep_settings(trials=0))
 
     def test_parallel_equals_serial(self):
         settings = tiny_sweep_settings(q_values=(2, 3), trials=2)

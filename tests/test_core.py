@@ -54,7 +54,7 @@ class TestTrajectory:
         assert tr.__array__(np.float32).dtype == np.float32
         assert tr.__array__(copy=True).flags.writeable
         np.testing.assert_array_equal(
-            TrajectoryBundle([tr, tr], tuple(np.linspace(0, 1, 5))).data, np.stack([tr.data] * 2))
+            TrajectoryBundle([tr, tr]).data, np.stack([tr.data] * 2))
 
     def test_read_only_through_copies(self, rng):
         import copy
@@ -153,14 +153,16 @@ class TestBundleInvariants:
         a = random_trajectory(rng, n=5)
         b = random_trajectory(rng, n=6)
         with pytest.raises(InvalidTrajectoryError):
-            TrajectoryBundle((a, b), tuple(np.linspace(0, 1, 5)))
+            TrajectoryBundle((a, b))
 
-    def test_grid_must_span_unit_interval(self, rng):
-        a = random_trajectory(rng, n=4)
-        with pytest.raises(InvalidTrajectoryError):
-            TrajectoryBundle((a,), (0.0, 0.1, 0.2, 0.9))
-        with pytest.raises(InvalidTrajectoryError):
-            TrajectoryBundle((a,), (0.0, 0.5, 0.4, 1.0))
+    def test_grid_derived_from_length(self, rng):
+        import copy
+        import pickle
+
+        a = random_trajectory(rng, n=7)
+        bundle = TrajectoryBundle(np.stack([a.data, a.data]))
+        for b in (bundle, copy.copy(bundle), pickle.loads(pickle.dumps(bundle))):
+            np.testing.assert_array_equal(b.grid(), normalize_time(a))
 
 
 class TestResample:

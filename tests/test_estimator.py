@@ -10,7 +10,6 @@ import oracles
 from rip.core import align_bundle
 from rip.errors import TrainingError
 from rip.estimator import (
-    FEATURE_DIM,
     PARAM_KEYS,
     FitConfig,
     StudentTEstimator,
@@ -22,40 +21,30 @@ from rip.estimator import (
     loss_gradient_array,
     mean_curve,
     nll_loss_array,
+    _flat_params,
 )
-
-
-def param_shapes(hidden, n_channels):
-    h1, h2 = hidden
-    return {
-        "W1": (FEATURE_DIM, h1), "b1": (h1,),
-        "W2": (h1, h2), "b2": (h2,),
-        "W3": (h2, n_channels), "b3": (n_channels,),
-    }
 
 
 def constant_estimator(mu_values, var_values, nu, hidden=(4, 4), var_floor=1e-6):
     """Estimator whose mean/variance are constant in t: zero weights, set biases."""
     mu_values = np.asarray(mu_values, dtype=float)
     var_values = np.asarray(var_values, dtype=float)
-    params = {}
-    for head in ("mu", "s"):
-        for name, shape in param_shapes(hidden, len(mu_values)).items():
-            params[f"{head}_{name}"] = np.zeros(shape)
+    n = len(mu_values)
+    theta, params, _ = _flat_params(hidden, n)
     params["mu_b3"][:] = mu_values
     params["s_b3"][:] = np.log(np.expm1(var_values - var_floor))
-    return StudentTEstimator(params=params, nu=nu, hidden=hidden,
-                             n_channels=len(mu_values), var_floor=var_floor)
+    return StudentTEstimator(theta=theta, nu=nu, hidden=hidden, n_channels=n,
+                             var_floor=var_floor, channel_shift=np.zeros(n),
+                             channel_scale=np.ones(n))
 
 
 def random_estimator(rng, hidden, n_channels, nu, affine=False):
-    params = {}
-    for head in ("mu", "s"):
-        for name, shape in param_shapes(hidden, n_channels).items():
-            params[f"{head}_{name}"] = rng.normal(0.0, 0.4, shape)
-    shift = rng.normal(0.0, 1.0, n_channels) if affine else None
-    scale = rng.uniform(0.5, 2.0, n_channels) if affine else None
-    return StudentTEstimator(params=params, nu=nu, hidden=hidden,
+    theta, params, _ = _flat_params(hidden, n_channels)
+    for k in PARAM_KEYS:  # mu head then s head, W1 b1 W2 b2 W3 b3 each
+        params[k][...] = rng.normal(0.0, 0.4, params[k].shape)
+    shift = rng.normal(0.0, 1.0, n_channels) if affine else np.zeros(n_channels)
+    scale = rng.uniform(0.5, 2.0, n_channels) if affine else np.ones(n_channels)
+    return StudentTEstimator(theta=theta, nu=nu, hidden=hidden,
                              n_channels=n_channels, var_floor=1e-6,
                              channel_shift=shift, channel_scale=scale)
 
@@ -197,9 +186,7 @@ class TestLossGradient:
 
     def test_gaussian_mode_is_large_nu_limit(self, rng):
         est_inf = random_estimator(rng, (5, 4), 2, math.inf)
-        est_big = StudentTEstimator(params=est_inf.params, nu=1e8,
-                                    hidden=est_inf.hidden, n_channels=2,
-                                    var_floor=est_inf.var_floor)
+        est_big = dataclasses.replace(est_inf, nu=1e8)
         data = rng.normal(0.0, 1.0, (3, 5, 2))
         grid = np.linspace(0, 1, 5)
         g_inf = loss_gradient_array(data, grid, est_inf)
@@ -370,6 +357,17 @@ class TestSerialization:
         assert np.allclose(var_a, var_b)
         assert back.nu == est.nu
 
+    def test_json_roundtrip_is_bit_exact(self, rng):
+        import json
+
+        data = rng.normal(0, 0.2, (3, 9, 10))
+        grid = np.linspace(0, 1, 9)
+        est, _ = fit_array(data, grid, FitConfig(seed=2, steps=400))
+        back = StudentTEstimator.from_dict(json.loads(json.dumps(est.to_dict())))
+        np.testing.assert_array_equal(back.theta, est.theta)
+        for a, b in zip(est.mean_and_variance(grid), back.mean_and_variance(grid)):
+            np.testing.assert_array_equal(a, b)
+
     def test_gaussian_nu_survives_json(self, rng):
         import json
 
@@ -383,6 +381,27 @@ class TestSerialization:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
             StudentTEstimator.from_dict({"schema_version": 99})
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_theta(self, rng):
+        data = rng.normal(0, 0.2, (3, 6, 2))
+        grid = np.linspace(0, 1, 6)
+        est, _ = fit_array(data, grid, FitConfig(seed=0, steps=50))
+        params = est.params
+        assert set(params) == set(PARAM_KEYS)
+        assert sum(p.size for p in params.values()) == est.theta.size
+        assert all(np.shares_memory(p, est.theta) for p in params.values())
+        mu0, var0 = est.mean_and_variance(grid)
+        est.theta *= 1.5
+        mu1, var1 = est.mean_and_variance(grid)
+        assert not np.allclose(mu0, mu1) and not np.allclose(var0, var1)
+        np.testing.assert_array_equal(est.params["mu_b3"], params["mu_b3"])
+
+    def test_theta_size_checked(self):
+        est = constant_estimator([0.0], [1.0], nu=1.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(est, theta=est.theta[:-1]).mean_and_variance([0.5])
 
 
 class TestFitConfig:
