@@ -7,8 +7,6 @@ tails absorb instead of dragging the answer.
 """
 
 from .core import (
-    Action,
-    Demonstration,
     KeypointSet,
     Trajectory,
     TrajectoryBundle,
@@ -50,9 +48,7 @@ from .tokens import PolicyContext, decode_trajectory, encode_context
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "CoordinateRangeError",
-    "Demonstration",
     "DownsampleError",
     "FitConfig",
     "InvalidTrajectoryError",

@@ -1,12 +1,13 @@
-"""Domain types for demonstrations, actions, and trajectory bundles.
+"""Domain types for trajectories, keypoints, and trajectory bundles.
 
-An end-effector pose is represented by three 3D points (gripper body and
-both fingertips) plus a binary gripper flag, giving 10 scalar channels per
-action. A trajectory is one immutable (T, 10) array of time-ordered
-actions; a bundle is one (Q, T, 10) array of trajectories resampled onto a
-shared normalized-time grid so they can be fitted jointly. ``Action`` is
-the per-step object form, used where actions cross a JSON or text
-boundary.
+An action, one end-effector pose, is three 3D points (gripper body and
+both fingertips) plus a binary gripper flag: one row of 10 scalar
+channels [p0, p1, p2, g]. Positions are meters in a fixed right-handed
+world frame; g is 0 (open) or 1 (closed). A trajectory is one immutable
+(T, 10) array of time-ordered actions; a bundle is one (Q, T, 10) array
+of trajectories resampled onto a shared normalized-time grid so they can
+be fitted jointly. There is no per-step object: JSON and text read and
+write the rows directly.
 """
 
 from __future__ import annotations
@@ -25,51 +26,16 @@ POSITION_CHANNELS = tuple(range(9))
 
 
 def _as_point(value, name: str) -> tuple[float, float, float]:
-    pt = tuple(float(v) for v in value)
+    # Points arrive from files, so a non-numeric value is bad input, not a bug.
+    try:
+        pt = tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidTrajectoryError(f"{name} is not a list of numbers: {exc}") from exc
     if len(pt) != 3:
         raise InvalidTrajectoryError(f"{name} must have 3 coordinates, got {len(pt)}")
     if not all(math.isfinite(v) for v in pt):
         raise InvalidTrajectoryError(f"{name} has non-finite coordinates: {pt}")
     return pt
-
-
-@dataclass(frozen=True)
-class Action:
-    """One end-effector pose: triplet of 3D points plus gripper state.
-
-    Positions are meters in a fixed right-handed world frame. ``g`` is 0
-    (open) or 1 (closed); fractional gripper values exist only inside the
-    estimator and are thresholded before an Action is built.
-    """
-
-    p0: tuple[float, float, float]
-    p1: tuple[float, float, float]
-    p2: tuple[float, float, float]
-    g: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p0", _as_point(self.p0, "p0"))
-        object.__setattr__(self, "p1", _as_point(self.p1, "p1"))
-        object.__setattr__(self, "p2", _as_point(self.p2, "p2"))
-        if self.g not in (0, 1):
-            raise InvalidTrajectoryError(f"gripper state must be 0 or 1, got {self.g!r}")
-        object.__setattr__(self, "g", int(self.g))
-
-    def to_array(self) -> np.ndarray:
-        """Flatten to the 10-channel vector [p0, p1, p2, g]."""
-        return np.array([*self.p0, *self.p1, *self.p2, float(self.g)])
-
-    @classmethod
-    def from_array(cls, vec) -> "Action":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (ACTION_DIM,):
-            raise InvalidTrajectoryError(f"action vector must have shape (10,), got {vec.shape}")
-        return cls(
-            p0=tuple(vec[0:3]),
-            p1=tuple(vec[3:6]),
-            p2=tuple(vec[6:9]),
-            g=int(round(vec[GRIPPER_CHANNEL])),
-        )
 
 
 def _checked_actions(data, ndim: int) -> np.ndarray:
@@ -98,10 +64,10 @@ def _checked_actions(data, ndim: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered sequence of at least two actions, stored as one
-    read-only (T, 10) float64 array in the channel layout of ``Action``.
+    read-only (T, 10) float64 array, one [p0, p1, p2, g] row per action.
 
-    ``actions`` and ``gripper_states()`` are views built on demand; the
-    array is the trajectory. Equality compares values and ``source``.
+    The array is the trajectory; ``gripper_states()`` is a view built on
+    demand. Equality compares values and ``source``.
     """
 
     data: np.ndarray
@@ -129,10 +95,6 @@ class Trajectory:
         # Copies and pickles go through the constructor, so they are
         # validated and read-only too.
         return Trajectory, (self.data, self.source)
-
-    @property
-    def actions(self) -> tuple[Action, ...]:
-        return tuple(Action.from_array(row) for row in self.data)
 
     def to_array(self) -> np.ndarray:
         """A writable (T, 10) copy."""
@@ -163,14 +125,6 @@ class KeypointSet:
 
     def to_array(self) -> np.ndarray:
         return np.array(self.points, dtype=float)
-
-
-@dataclass(frozen=True)
-class Demonstration:
-    """One expert episode: the observed keypoints and the performed trajectory."""
-
-    keypoints: KeypointSet
-    trajectory: Trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +226,5 @@ def align_bundle(trajectories, target_len: int) -> TrajectoryBundle:
     trajs = list(trajectories)
     if not trajs:
         raise InvalidTrajectoryError("cannot align an empty set of trajectories")
-    if target_len < 2:
-        raise InvalidTrajectoryError(f"target length must be >= 2, got {target_len}")
     resampled = tuple(resample_trajectory(tr, target_len) for tr in trajs)
     return TrajectoryBundle(resampled)

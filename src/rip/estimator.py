@@ -150,7 +150,7 @@ class FitConfig:
         return replace(self, nu=math.inf)
 
 
-@dataclass
+@dataclass(eq=False)
 class StudentTEstimator:
     """Fitted mean/variance networks plus the degrees of freedom.
 
@@ -160,7 +160,8 @@ class StudentTEstimator:
     the Gaussian ablation. The networks operate on per-channel standardized
     values (``channel_shift``/``channel_scale``, each (D,)); evaluation maps
     back to raw units, so the likelihood channels with very different
-    spreads stay equally well conditioned during training.
+    spreads stay equally well conditioned during training. ``==`` is
+    identity; compare ``theta`` with ``np.array_equal`` to compare values.
     """
 
     theta: np.ndarray

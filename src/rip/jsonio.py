@@ -1,12 +1,16 @@
-"""JSON serialization for trajectories, demonstrations, and policy contexts.
+"""JSON serialization for trajectories and policy contexts.
 
 Wire format (lengths in meters, plain decimal numbers):
 
     trajectory file:     {"actions": [{"p0": [x,y,z], "p1": [x,y,z],
                                        "p2": [x,y,z], "g": 0|1}, ...]}
-    demonstration file:  adds "keypoints": [[x,y,z], ...]
+    demonstration:       a trajectory object plus "keypoints": [[x,y,z], ...]
     context file:        {"demonstrations": [<demonstration>, ...],
                           "query_keypoints": [[x,y,z], ...]}
+
+Each action object is one [p0, p1, p2, g] row of the trajectory's (T, 10)
+array, read and written directly. Files come from outside the program, so
+every malformed input raises ``InvalidTrajectoryError``.
 """
 
 from __future__ import annotations
@@ -14,69 +18,54 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Action, Demonstration, KeypointSet, Trajectory
+from .core import KeypointSet, Trajectory, _as_point
 from .errors import InvalidTrajectoryError
 from .tokens import PolicyContext
 
 
-def action_to_dict(action: Action) -> dict:
-    return {
-        "p0": list(action.p0),
-        "p1": list(action.p1),
-        "p2": list(action.p2),
-        "g": action.g,
-    }
-
-
-def action_from_dict(obj: dict) -> Action:
-    try:
-        return Action(p0=tuple(obj["p0"]), p1=tuple(obj["p1"]), p2=tuple(obj["p2"]), g=obj["g"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidTrajectoryError(f"malformed action object: {exc}") from exc
-
-
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
-    return {"actions": [action_to_dict(a) for a in trajectory.actions]}
+    return {"actions": [{"p0": r[0:3], "p1": r[3:6], "p2": r[6:9], "g": int(r[9])}
+                        for r in trajectory.data.tolist()]}
+
+
+def _row(action: dict) -> list:
+    g = action["g"]
+    # Equality, not conversion: "1" is rejected, while true and 1.0 mean 1
+    # (and -0.0 means 0: int() keeps a sign bit out of the array).
+    if g not in (0, 1):
+        raise InvalidTrajectoryError(f"gripper state must be 0 or 1, got {g!r}")
+    return [*_as_point(action["p0"], "p0"), *_as_point(action["p1"], "p1"),
+            *_as_point(action["p2"], "p2"), int(g)]
 
 
 def trajectory_from_dict(obj: dict) -> Trajectory:
-    if "actions" not in obj:
-        raise InvalidTrajectoryError("trajectory object lacks an 'actions' field")
-    return Trajectory([action_from_dict(a).to_array() for a in obj["actions"]])
-
-
-def demonstration_to_dict(demo: Demonstration) -> dict:
-    out = trajectory_to_dict(demo.trajectory)
-    out["keypoints"] = [list(p) for p in demo.keypoints.points]
-    return out
-
-
-def demonstration_from_dict(obj: dict) -> Demonstration:
-    if "keypoints" not in obj:
-        raise InvalidTrajectoryError("demonstration object lacks a 'keypoints' field")
-    return Demonstration(
-        keypoints=KeypointSet(tuple(tuple(p) for p in obj["keypoints"])),
-        trajectory=trajectory_from_dict(obj),
-    )
+    try:
+        rows = [_row(a) for a in obj["actions"]]
+    except (KeyError, TypeError) as exc:
+        raise InvalidTrajectoryError(f"malformed trajectory object: {exc!r}") from exc
+    return Trajectory(rows)
 
 
 def context_to_dict(context: PolicyContext) -> dict:
     return {
         "demonstrations": [
-            demonstration_to_dict(Demonstration(kp, tr)) for kp, tr in context.demonstrations
+            {**trajectory_to_dict(tr), "keypoints": [list(p) for p in kp.points]}
+            for kp, tr in context.demonstrations
         ],
         "query_keypoints": [list(p) for p in context.query_keypoints.points],
     }
 
 
 def context_from_dict(obj: dict) -> PolicyContext:
-    demos = [demonstration_from_dict(d) for d in obj.get("demonstrations", [])]
-    if "query_keypoints" not in obj:
+    if not isinstance(obj, dict) or "query_keypoints" not in obj:
         raise InvalidTrajectoryError("context object lacks a 'query_keypoints' field")
-    return PolicyContext(
-        demonstrations=tuple((d.keypoints, d.trajectory) for d in demos),
-        query_keypoints=KeypointSet(tuple(tuple(p) for p in obj["query_keypoints"])),
-    )
+    try:
+        demos = tuple((KeypointSet(d["keypoints"]), trajectory_from_dict(d))
+                      for d in obj.get("demonstrations", []))
+        query = KeypointSet(obj["query_keypoints"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidTrajectoryError(f"malformed context object: {exc!r}") from exc
+    return PolicyContext(demonstrations=demos, query_keypoints=query)
 
 
 def save_json(obj: dict, path) -> None:
@@ -84,7 +73,10 @@ def save_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InvalidTrajectoryError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def save_trajectory(trajectory: Trajectory, path) -> None:

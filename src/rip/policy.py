@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import requests
 
-from .core import (
-    Demonstration,
-    KeypointSet,
-    Trajectory,
-    resample_trajectory,
-)
+from .core import KeypointSet, Trajectory, resample_trajectory
 from .errors import MalformedResponseError, TransportError
 from .tokens import PolicyContext, decode_trajectory, encode_context
 
@@ -192,7 +187,7 @@ def _consensus_path(rng: np.random.Generator, shape: str, length: int, profile: 
 def _task_keypoints(rng: np.random.Generator, anchor: np.ndarray, k: int) -> KeypointSet:
     pts = anchor + rng.uniform(-0.06, 0.06, (k, 3))
     pts[:, 2] = np.abs(pts[:, 2] - anchor[2]) * 0.5 + 0.01  # keep keypoints on/above the table
-    return KeypointSet(tuple(tuple(p) for p in pts))
+    return KeypointSet(pts)
 
 
 def make_consensus_task(
@@ -227,13 +222,9 @@ def make_consensus_task(
         wobble = rng.normal(0.0, demo_wobble, p0.shape) if demo_wobble > 0 else 0.0
         demo = _trajectory_from_points(_with_fingertips(p0 + drift + wobble), g,
                                        "demonstration")
-        demos.append(Demonstration(kp, demo))
+        demos.append((kp, demo))
     query_kp = _task_keypoints(rng, anchor, n_keypoints)
-    context = PolicyContext(
-        demonstrations=tuple((d.keypoints, d.trajectory) for d in demos),
-        query_keypoints=query_kp,
-    )
-    return context, consensus
+    return PolicyContext(demonstrations=tuple(demos), query_keypoints=query_kp), consensus
 
 
 def _synthetic_sample(

@@ -6,12 +6,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rip.core import Action, KeypointSet, Trajectory
+from rip.core import KeypointSet, Trajectory
 
 
 def make_action(x=0.0, y=0.0, z=0.0, g=0):
-    return Action(p0=(x, y, z), p1=(x, y + 0.035, z - 0.02),
-                  p2=(x, y - 0.035, z - 0.02), g=g)
+    """One [p0, p1, p2, g] row: body point at (x, y, z), fingertips beside it."""
+    return np.array([x, y, z, x, y + 0.035, z - 0.02, x, y - 0.035, z - 0.02, g], dtype=float)
 
 
 def line_trajectory(n, x0=0.0, x1=1.0, g=None, source=None):
@@ -44,7 +44,7 @@ def random_trajectory(rng, n=None, n_transitions=0, box=5.0):
 
 def keypoints(k=10, seed=0):
     rng = np.random.default_rng(seed)
-    return KeypointSet(tuple(tuple(p) for p in rng.uniform(-0.5, 0.5, (k, 3))))
+    return KeypointSet(rng.uniform(-0.5, 0.5, (k, 3)))
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory, make_action, random_trajectory
 
 from rip.core import (
-    Action,
     Trajectory,
     TrajectoryBundle,
     align_bundle,
@@ -16,36 +16,42 @@ from rip import jsonio
 
 
 class TestAction:
+    # An action is one [p0, p1, p2, g] row; a trajectory checks its rows.
     def test_ten_degrees_of_freedom(self):
-        a = make_action(0.1, 0.2, 0.3, g=1)
-        assert a.to_array().shape == (10,)
+        row = make_action(0.1, 0.2, 0.3, g=1)
+        assert row.shape == (10,)
+        for width in (9, 11):
+            with pytest.raises(InvalidTrajectoryError):
+                Trajectory(np.zeros((2, width)))
 
     def test_gripper_must_be_binary(self):
-        with pytest.raises(InvalidTrajectoryError):
-            make_action(g=0.5)
-        with pytest.raises(InvalidTrajectoryError):
-            make_action(g=2)
+        for g in (0.5, 2):
+            with pytest.raises(InvalidTrajectoryError):
+                Trajectory(np.stack([make_action(g=g), make_action()]))
 
     def test_positions_must_be_finite(self):
-        with pytest.raises(InvalidTrajectoryError):
-            Action(p0=(float("nan"), 0, 0), p1=(0, 0, 0), p2=(0, 0, 0), g=0)
-        with pytest.raises(InvalidTrajectoryError):
-            Action(p0=(float("inf"), 0, 0), p1=(0, 0, 0), p2=(0, 0, 0), g=0)
+        for bad in (float("nan"), float("inf")):
+            row = make_action()
+            row[0] = bad
+            with pytest.raises(InvalidTrajectoryError):
+                Trajectory(np.stack([row, make_action()]))
 
     def test_array_roundtrip(self):
-        a = make_action(0.1, -0.2, 0.3, g=1)
-        assert Action.from_array(a.to_array()) == a
+        rows = np.stack([make_action(0.1, -0.2, 0.3, g=1), make_action()])
+        tr = Trajectory(rows)
+        np.testing.assert_array_equal(tr.data, rows)
+        np.testing.assert_array_equal(jsonio.trajectory_from_dict(jsonio.trajectory_to_dict(tr)).data,
+                                      rows)
 
 
 class TestTrajectory:
     def test_needs_two_actions(self):
         with pytest.raises(InvalidTrajectoryError):
-            Trajectory(make_action().to_array()[None])
+            Trajectory(make_action()[None])
 
     def test_array_roundtrip(self, rng):
         tr = random_trajectory(rng, n=15, n_transitions=2)
-        assert Trajectory.from_array(tr.to_array()) == Trajectory(
-            np.stack([a.to_array() for a in tr.actions]))
+        assert Trajectory.from_array(tr.to_array()) == Trajectory(list(tr.data))
 
     def test_array_protocol_without_copy_argument(self, rng):
         # NumPy 1.x calls __array__ with no ``copy``; NumPy 2 may pass one.
@@ -95,23 +101,19 @@ class TestAlignBundle:
         bundle = align_bundle(trajs, 11)
         for tr in bundle.trajectories:
             assert len(tr) == 11
-            for a in tr.actions:
-                assert a.p0[0] == pytest.approx(0.3)
+            assert tr.data[:, 0] == pytest.approx([0.3] * 11)
 
     def test_linear_ramp_interpolates_midpoint(self):
         bundle = align_bundle([line_trajectory(11, x0=0.0, x1=1.0)], 3)
-        xs = [a.p0[0] for a in bundle.trajectories[0].actions]
-        assert xs == pytest.approx([0.0, 0.5, 1.0])
+        assert bundle.data[0, :, 0] == pytest.approx([0.0, 0.5, 1.0])
 
     def test_mixed_lengths_endpoints_bitwise(self, rng):
         t20 = random_trajectory(rng, n=20)
         t30 = random_trajectory(rng, n=30)
         bundle = align_bundle([t20, t30], 30)
         assert all(len(tr) == 30 for tr in bundle.trajectories)
-        assert bundle.trajectories[0].actions[0] == t20.actions[0]
-        assert bundle.trajectories[0].actions[-1] == t20.actions[-1]
-        assert bundle.trajectories[1].actions[0] == t30.actions[0]
-        assert bundle.trajectories[1].actions[-1] == t30.actions[-1]
+        np.testing.assert_array_equal(bundle.data[0, [0, -1]], t20.data[[0, -1]])
+        np.testing.assert_array_equal(bundle.data[1, [0, -1]], t30.data[[0, -1]])
 
     def test_idempotent(self, rng):
         trajs = [random_trajectory(rng, n=n) for n in (12, 25, 31)]
@@ -123,8 +125,7 @@ class TestAlignBundle:
         for _ in range(10):
             tr = random_trajectory(rng)
             out = align_bundle([tr], 17).trajectories[0]
-            assert out.actions[0] == tr.actions[0]
-            assert out.actions[-1] == tr.actions[-1]
+            np.testing.assert_array_equal(out.data[[0, -1]], tr.data[[0, -1]])
 
     def test_gripper_values_come_from_source(self, rng):
         for _ in range(10):
@@ -169,11 +170,64 @@ class TestResample:
     def test_upsampling_keeps_path_linear(self):
         tr = line_trajectory(3, x0=0.0, x1=1.0)
         up = resample_trajectory(tr, 5)
-        assert [a.p0[0] for a in up.actions] == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
+        assert up.data[:, 0] == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
 
     def test_same_length_is_identity(self, rng):
         tr = random_trajectory(rng, n=14)
         assert resample_trajectory(tr, 14) is tr
+
+
+# Files come from outside the program. A valid file object has one or two
+# of its nodes deleted or replaced by any JSON value: NaN, inf, strings,
+# nesting, and the real key names among others.
+_KEYS = st.sampled_from(["actions", "p0", "p1", "p2", "g", "keypoints",
+                         "demonstrations", "query_keypoints"])
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_point = st.lists(st.floats(-10, 10), min_size=3, max_size=3)
+_points = st.lists(_point, min_size=2, max_size=2)
+_actions = st.lists(st.fixed_dictionaries(
+    {"p0": _point, "p1": _point, "p2": _point, "g": st.sampled_from([0, 1])}),
+    min_size=2, max_size=4)
+_valid_trajectory = st.fixed_dictionaries({"actions": _actions})
+_valid_context = st.fixed_dictionaries({
+    "demonstrations": st.lists(
+        st.fixed_dictionaries({"actions": _actions, "keypoints": _points}),
+        min_size=1, max_size=2),
+    "query_keypoints": _points,
+})
+_DELETE = object()
+
+
+def _node_paths(obj, path=()):
+    yield path
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in children:
+        yield from _node_paths(value, path + (key,))
+
+
+@st.composite
+def _damaged(draw, valid):
+    obj = draw(valid)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_node_paths(obj))))
+        value = draw(st.just(_DELETE) | _any_json)
+        if not path:
+            obj = None if value is _DELETE else value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return obj
 
 
 class TestJsonIO:
@@ -203,3 +257,56 @@ class TestJsonIO:
         path.write_text('{"actions": [{"p0": [0,0,0]}]}')
         with pytest.raises(InvalidTrajectoryError):
             jsonio.load_trajectory(path)
+
+    @pytest.mark.parametrize("content", [b'{"actions": [{"p0": [0, 0', b'\xff\xfe{}', b''],
+                             ids=["truncated", "not-utf8", "empty"])
+    @pytest.mark.parametrize("load", [jsonio.load_trajectory, jsonio.load_context],
+                             ids=["trajectory", "context"])
+    def test_unparsable_file_rejected(self, tmp_path, content, load):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidTrajectoryError):
+            load(path)
+
+    # One action object is one row. A change to the first of two steps
+    # either loads to the same rows or raises InvalidTrajectoryError.
+    @pytest.mark.parametrize("change, loads", [
+        ({"g": 0.5}, False),
+        ({"g": 2}, False),
+        ({"g": "1"}, False),
+        ({"p0": [float("nan"), 0, 0]}, False),
+        ({"p0": [float("inf"), 0, 0]}, False),
+        ({"p1": [0.0, 0.0]}, False),
+        ({"p2": [0.0, 0.0, 0.0, 0.0]}, False),
+        ({}, True),
+        ({"g": True}, True),
+        ({"g": 1.0}, True),
+    ], ids=["gripper-0.5", "gripper-2", "gripper-str", "nan", "inf", "2-coords",
+            "4-coords", "roundtrip", "gripper-true", "gripper-float"])
+    def test_action_object(self, change, loads):
+        rows = np.stack([make_action(0.1, -0.2, 0.3, g=1), make_action()])
+        obj = jsonio.trajectory_to_dict(Trajectory(rows))
+        obj["actions"][0].update(change)
+        if loads:
+            np.testing.assert_array_equal(jsonio.trajectory_from_dict(obj).data, rows)
+        else:
+            with pytest.raises(InvalidTrajectoryError):
+                jsonio.trajectory_from_dict(obj)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_damaged(_valid_trajectory))
+    def test_trajectory_file_raises_only_invalid_trajectory(self, obj):
+        try:
+            assert isinstance(jsonio.trajectory_from_dict(obj), Trajectory)
+        except InvalidTrajectoryError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_damaged(_valid_context))
+    def test_context_file_raises_only_invalid_trajectory(self, obj):
+        from rip.tokens import PolicyContext
+
+        try:
+            assert isinstance(jsonio.context_from_dict(obj), PolicyContext)
+        except InvalidTrajectoryError:
+            pass

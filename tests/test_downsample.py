@@ -18,6 +18,11 @@ def step_gripper(n, close_at=None, open_at=None):
     return g
 
 
+def _row_index(tr, row):
+    """Index of the first step of ``tr`` equal to ``row``, like list.index."""
+    return int(np.flatnonzero((tr.data == row).all(axis=1))[0])
+
+
 class TestMaskKeySteps:
     def test_constant_gripper_masks_endpoints_only(self):
         tr = line_trajectory(100)
@@ -47,17 +52,16 @@ class TestDownsample:
     def test_masked_steps_survive_and_length_is_close(self):
         tr = line_trajectory(300, g=step_gripper(300, close_at=150))
         out = downsample(tr, 30)
-        kept = {a.p0[0] for a in out.actions}
+        kept = set(out.data[:, 0])
         for idx in (0, 149, 150, 299):
-            assert tr.actions[idx].p0[0] in kept
+            assert tr.data[idx, 0] in kept
         assert 26 <= len(out) <= 34
 
     def test_no_transition_gives_exact_target(self):
         tr = line_trajectory(60)
         out = downsample(tr, 30)
         assert len(out) == 30
-        assert out.actions[0] == tr.actions[0]
-        assert out.actions[-1] == tr.actions[-1]
+        np.testing.assert_array_equal(out.data[[0, -1]], tr.data[[0, -1]])
 
     def test_budget_conflict_is_named(self):
         g = [0, 1] * 30  # transition at nearly every step
@@ -77,7 +81,7 @@ class TestDownsample:
     def test_is_order_preserving_subsequence(self, rng):
         tr = random_trajectory(rng, n=120, n_transitions=2)
         out = downsample(tr, 30)
-        idx = [tr.actions.index(a) for a in out.actions]
+        idx = [_row_index(tr, row) for row in out.data]
         assert idx == sorted(idx)
         assert len(set(idx)) == len(idx)
 
@@ -93,24 +97,24 @@ class TestUniformDownsample:
     def test_keeps_endpoints(self):
         tr = line_trajectory(4)
         out = uniform_downsample(tr, 2)
-        assert out.actions == (tr.actions[0], tr.actions[-1])
+        np.testing.assert_array_equal(out.data, tr.data[[0, -1]])
 
     def test_can_omit_a_transition_index(self):
         tr = line_trajectory(300, g=step_gripper(300, close_at=150))
         out = uniform_downsample(tr, 30)
-        kept_x = {a.p0[0] for a in out.actions}
-        assert tr.actions[149].p0[0] not in kept_x  # the masked variant keeps it
+        kept_x = set(out.data[:, 0])
+        assert tr.data[149, 0] not in kept_x  # the masked variant keeps it
 
     def test_constant_stays_constant(self):
         tr = line_trajectory(100, x0=0.4, x1=0.4)
         out = uniform_downsample(tr, 30)
         assert len(out) == 30
-        assert all(a.p0[0] == pytest.approx(0.4) for a in out.actions)
+        assert out.data[:, 0] == pytest.approx([0.4] * 30)
 
     def test_subsequence_property(self, rng):
         tr = random_trajectory(rng, n=90)
         out = uniform_downsample(tr, 13)
-        idx = [tr.actions.index(a) for a in out.actions]
+        idx = [_row_index(tr, row) for row in out.data]
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
     def test_short_input_identity(self, rng):

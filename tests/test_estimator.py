@@ -357,6 +357,14 @@ class TestSerialization:
         assert np.allclose(var_a, var_b)
         assert back.nu == est.nu
 
+    def test_equality_is_identity(self, rng):
+        # Generated field-wise equality would compare theta arrays and raise.
+        est, _ = fit_array(rng.normal(0, 0.2, (2, 5, 1)), np.linspace(0, 1, 5),
+                           FitConfig(seed=0, steps=20))
+        back = StudentTEstimator.from_dict(est.to_dict())
+        assert (est == back) is False
+        assert (est == est) is True
+
     def test_json_roundtrip_is_bit_exact(self, rng):
         import json
 

@@ -64,7 +64,7 @@ class TestEncodeContext:
             )
 
     def test_out_of_range_coordinate_raises(self):
-        tr = Trajectory(np.stack([make_action(x=11.0).to_array()] * 2))
+        tr = Trajectory(np.stack([make_action(x=11.0)] * 2))
         ctx = PolicyContext(demonstrations=((keypoints(3), tr),),
                             query_keypoints=keypoints(3))
         with pytest.raises(CoordinateRangeError):
@@ -118,9 +118,9 @@ class TestDecode:
 
     def test_millimeters_convert_back_to_meters(self):
         back = decode_trajectory("100 0 0 0 0 0 0 0 0 0\n200 0 0 0 0 0 0 0 0 1")
-        assert back.actions[0].p0[0] == pytest.approx(0.1)
-        assert back.actions[1].p0[0] == pytest.approx(0.2)
-        assert back.actions[1].g == 1
+        assert back.data[0, 0] == pytest.approx(0.1)
+        assert back.data[1, 0] == pytest.approx(0.2)
+        assert back.data[1, 9] == 1
 
 
 # Untrusted model output: prose mixed with lines of ten integers of any size.
