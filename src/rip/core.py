@@ -47,7 +47,7 @@ def _checked_actions(data, ndim: int) -> np.ndarray:
     """
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidTrajectoryError(f"actions are not a numeric array: {exc}") from exc
     if arr.ndim != ndim or arr.shape[-1] != ACTION_DIM or arr.shape[-2] < 2 or arr.size == 0:
         want = "(T, 10)" if ndim == 2 else "(Q, T, 10)"
@@ -115,7 +115,11 @@ class KeypointSet:
     points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        pts = tuple(_as_point(p, f"keypoint[{i}]") for i, p in enumerate(self.points))
+        try:
+            raw = tuple(self.points)
+        except TypeError as exc:
+            raise InvalidTrajectoryError(f"keypoints are not a list of points: {exc}") from exc
+        pts = tuple(_as_point(p, f"keypoint[{i}]") for i, p in enumerate(raw))
         if not pts:
             raise InvalidTrajectoryError("a keypoint set needs at least one point")
         object.__setattr__(self, "points", pts)

@@ -8,8 +8,15 @@ trajectory far from the consensus contributes a bounded pull on the mean
 instead of the unbounded pull least squares would give it, so the fitted
 mean tracks the consistent majority of a bundle.
 
-All array math is float64 numpy with hand-derived gradients; the finite-
-difference check in the bench CLI and tests guards the derivation.
+The gradients are hand-derived numpy. Training runs in float32: the fit
+is a small-MLP regression on standardized values whose result is set by
+minibatch noise, far above single-precision rounding (fits of pick
+bundles in both precisions give the same gripper steps and means within a
+few millimetres), and float32 doubles the values each vector instruction
+of a step handles. Everything outside the training loop is float64: the
+fitted estimator, its evaluation and serialization, the logged loss, and
+the analytic gradient, so the finite-difference check in the bench CLI
+and tests audits the derivation at full precision.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ _FEATURE_OMEGA = np.array([math.pi * f for f in FEATURE_FREQS])
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Precision of fit_array's training loop; see its docstring.
+_TRAIN_DTYPE = np.float32
 
 
 def log_gamma(x):
@@ -381,7 +391,16 @@ class FitTrace:
 
 
 def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
-    """Seeded minibatch Adam on the NLL of a (Q, T, D) array over grid (T,)."""
+    """Seeded minibatch Adam on the NLL of a (Q, T, D) array over grid (T,).
+
+    The loop trains a float32 copy of the parameters on float32 data,
+    features, gradients, Adam moments and pass buffers, which makes a fit
+    about 1.5x faster than float64 (see the module docstring for why the
+    precision suffices). Initialisation and standardization run in float64,
+    and so does the loss logged every ``steps // 200`` steps: the float32
+    parameters are copied into the returned estimator's float64 ``theta``
+    before each log, so it ends holding the trained parameters.
+    """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if data.ndim != 3:
@@ -399,19 +418,25 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     shift = np.median(flat_raw, axis=0)
     scale = np.maximum(np.std(flat_raw, axis=0), 1e-3)
     data_std = (data - shift) / scale
-    floor_std = config.var_floor / scale**2
+    # Every array the loop touches is _TRAIN_DTYPE, and its scalars are
+    # Python floats: one float64 operand would upcast the whole step.
+    floor_std = (config.var_floor / scale**2).astype(_TRAIN_DTYPE)
+    nu = float(config.nu)
 
-    theta, _, layers = _init_params(rng, config.hidden, n_d, data_std,
-                                    config.var_floor, config.nu)
-    grad, _, grads = _flat_params(config.hidden, n_d)
+    theta, _, _ = _init_params(rng, config.hidden, n_d, data_std,
+                               config.var_floor, config.nu)
+    theta_train = theta.astype(_TRAIN_DTYPE)
+    layers = _flat_params(config.hidden, n_d, theta_train)[2]
+    grad = np.zeros_like(theta_train)
+    grads = _flat_params(config.hidden, n_d, grad)[2]
     n_h1, n_h2 = config.hidden
     # Every pair at grid step t feeds the networks the same input, so both
     # passes run once per grid step and the minibatch only sets how much
     # each step's output gradient weighs: a one-hot (T, B) matrix sums the
     # per-pair gradients onto their grid steps.
-    features = _with_bias_column(time_features(grid))
+    features = _with_bias_column(time_features(grid)).astype(_TRAIN_DTYPE)
     features_t = np.ascontiguousarray(features.T)
-    flat = data_std.reshape(n_q * n_t, n_d)
+    flat = data_std.reshape(n_q * n_t, n_d).astype(_TRAIN_DTYPE)
     t_of_pair = np.tile(np.arange(n_t), n_q)
     grid_index = np.arange(n_t)[:, None]
 
@@ -421,23 +446,23 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
     # Adam moments kept without their (1 - beta) factors, which fold into
     # the update's constants, so each step makes fewer passes over theta.
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    buf = np.empty_like(theta)
+    m = np.zeros_like(theta_train)
+    v = np.zeros_like(theta_train)
+    buf = np.empty_like(theta_train)
     full_batch = n_q * n_t <= config.batch_size
     log_every = max(1, config.steps // 200)
     curve = []
 
     if full_batch:
         t_idx, a = t_of_pair, flat
-        onehot = (grid_index == t_idx).astype(float)
+        onehot = (grid_index == t_idx).astype(_TRAIN_DTYPE)
     else:
-        onehot = np.empty((n_t, config.batch_size))
+        onehot = np.empty((n_t, config.batch_size), dtype=_TRAIN_DTYPE)
     w = 1.0 / onehot.shape[1]
-    h1 = np.empty((2, n_t, n_h1))
-    h2 = np.empty((2, n_t, n_h2))
-    out = np.empty((2, n_t, n_d))
-    dout = np.empty((2, n_t, n_d))
+    h1 = np.empty((2, n_t, n_h1), dtype=_TRAIN_DTYPE)
+    h2 = np.empty((2, n_t, n_h2), dtype=_TRAIN_DTYPE)
+    out = np.empty((2, n_t, n_d), dtype=_TRAIN_DTYPE)
+    dout = np.empty((2, n_t, n_d), dtype=_TRAIN_DTYPE)
     chunk_size = 512
 
     # Variance-floor warmup: while the floor is high, every channel sees
@@ -463,7 +488,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         soft = _softplus(out[1])
         var = soft[t_idx]
         var += np.maximum(floor_std, warm)
-        dmu_e, dvar_e = _nll_partials(a, out[0][t_idx], var, config.nu, w)
+        dmu_e, dvar_e = _nll_partials(a, out[0][t_idx], var, nu, w)
         np.matmul(onehot, dmu_e, out=dout[0])
         np.matmul(onehot, dvar_e, out=dout[1])
         # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
@@ -491,9 +516,12 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         buf += ADAM_EPS / v_scale
         np.divide(m, buf, out=buf)
         buf *= lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** step) / v_scale
-        theta -= buf
+        theta_train -= buf
 
+        # The last step always logs, so the estimator leaves the loop
+        # holding the trained parameters.
         if step % log_every == 0 or step == config.steps:
+            theta[...] = theta_train
             curve.append((step, nll_loss_array(data, grid, est)))
 
     losses = [l for _, l in curve]

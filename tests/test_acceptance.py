@@ -7,7 +7,9 @@ workers but stay deterministic: every trial is seeded independently.
 
 import json
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from conftest import random_trajectory
 from rip.bench import (
     DownsampleBenchSettings,
     SweepSettings,
+    run_cell_trial,
     run_downsample_bench,
-    run_sweep,
     trajectory_rmse,
+    trial_seed,
     two_proportion_band,
 )
 from rip.cli import EXIT_OK, main
@@ -43,7 +46,8 @@ from rip.policy import (
 )
 from rip.tokens import decode_trajectory, encode_action_block
 
-WORKERS = 4
+# One worker per usable core: more only oversubscribes the cores.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def report(n, ok, detail, elapsed, budget):
@@ -163,23 +167,34 @@ def test_criterion_5_robustness_ordering():
            time.perf_counter() - t0, 600)
 
 
+def criterion_6_rates(master_seed, trials):
+    """Success rates of the three (Q, nu) cells criterion 6 reads.
+
+    Each trial gets the seed ``run_sweep`` gives it on the full 2 x 2 grid,
+    so the rates are those of that sweep; the (2, inf) cell is not run.
+    """
+    settings = SweepSettings(q_values=(2, 5), nu_values=(1.5, math.inf), trials=trials,
+                             master_seed=master_seed, fit=FitConfig(steps=3000))
+    grid = settings.cells()
+    read = [(2, 1.5), (5, 1.5), (5, math.inf)]
+    jobs = [(q, nu, trial_seed(master_seed, grid.index((q, nu)), ti), settings)
+            for q, nu in read for ti in range(trials)]
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        outcomes = list(pool.map(run_cell_trial, *zip(*jobs), chunksize=4))
+    return {cell: sum(s for s, _ in outcomes[i * trials:(i + 1) * trials]) / trials
+            for i, cell in enumerate(read)}
+
+
 def test_criterion_6_design_sweep_directionality():
     t0 = time.perf_counter()
     reps, trials = 5, 50
     passed = 0
     detail = []
     for rep in range(reps):
-        settings = SweepSettings(
-            q_values=(2, 5),
-            nu_values=(1.5, math.inf),
-            trials=trials,
-            master_seed=1000 + rep,
-            fit=FitConfig(steps=3000),
-        )
-        cells = {(r.q, r.nu): r for r in run_sweep(settings, workers=WORKERS)}
-        p_q2 = cells[(2, 1.5)].success_rate
-        p_q5 = cells[(5, 1.5)].success_rate
-        p_inf = cells[(5, math.inf)].success_rate
+        rates = criterion_6_rates(1000 + rep, trials)
+        p_q2 = rates[(2, 1.5)]
+        p_q5 = rates[(5, 1.5)]
+        p_inf = rates[(5, math.inf)]
         q_ok = (p_q5 - p_q2) > two_proportion_band(p_q5, p_q2, trials, trials)
         nu_ok = (p_q5 - p_inf) > two_proportion_band(p_q5, p_inf, trials, trials)
         passed += int(q_ok and nu_ok)

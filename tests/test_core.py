@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import line_trajectory, make_action, random_trajectory
 
 from rip.core import (
+    KeypointSet,
     Trajectory,
     TrajectoryBundle,
     align_bundle,
@@ -73,6 +74,22 @@ class TestTrajectory:
                 assert clone == obj
                 with pytest.raises(ValueError):
                     clone.data[0, 0] = 1.0
+
+
+# Constructors called directly with bad values raise only the library's
+# error, as the JSON boundary does.
+@pytest.mark.parametrize("build", [
+    lambda: Trajectory([[10**400] * 10] * 2),
+    lambda: TrajectoryBundle([[[10**400] * 10] * 2]),
+    lambda: KeypointSet(5),
+    lambda: KeypointSet(None),
+    lambda: KeypointSet([(0.0, 0.0, 10**400)]),
+    lambda: KeypointSet(()),
+], ids=["trajectory-overflow", "bundle-overflow", "keypoints-int", "keypoints-none",
+        "keypoints-overflow", "keypoints-empty"])
+def test_constructor_raises_invalid_trajectory(build):
+    with pytest.raises(InvalidTrajectoryError):
+        build()
 
 
 class TestNormalizeTime:
