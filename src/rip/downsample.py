@@ -43,28 +43,18 @@ def _spread_indices(lo: int, hi: int, n: int) -> list[int]:
 
 def _apportion(budget: int, capacities: list[int]) -> list[int]:
     """Largest-remainder split of `budget` picks across segments, proportional
-    to capacity, capped at capacity, ties broken toward earlier segments."""
+    to capacity, capped at capacity, ties broken toward earlier segments.
+    Needs budget <= sum(capacities): each quota is then at most its capacity,
+    and fewer picks are left over than segments with a fractional quota, so
+    one pass gives each of the largest remainders one more pick."""
     total = sum(capacities)
     if total == 0 or budget <= 0:
         return [0] * len(capacities)
     quotas = [budget * c / total for c in capacities]
-    counts = [min(int(q), c) for q, c in zip(quotas, capacities)]
-    leftover = budget - sum(counts)
-    while leftover > 0:
-        order = sorted(
-            range(len(capacities)),
-            key=lambda i: (-(quotas[i] - counts[i]), i),
-        )
-        progressed = False
-        for i in order:
-            if leftover == 0:
-                break
-            if counts[i] < capacities[i]:
-                counts[i] += 1
-                leftover -= 1
-                progressed = True
-        if not progressed:
-            break  # every segment saturated; caller guarantees this cannot strand budget
+    counts = [int(q) for q in quotas]
+    order = sorted(range(len(capacities)), key=lambda i: (-(quotas[i] - counts[i]), i))
+    for i in order[:budget - sum(counts)]:
+        counts[i] += 1
     return counts
 
 

@@ -14,9 +14,10 @@ minibatch noise, far above single-precision rounding (fits of pick
 bundles in both precisions give the same gripper steps and means within a
 few millimetres), and float32 doubles the values each vector instruction
 of a step handles. Everything outside the training loop is float64: the
-fitted estimator, its evaluation and serialization, the logged loss, and
-the analytic gradient, so the finite-difference check in the bench CLI
-and tests audits the derivation at full precision.
+fitted estimator, its evaluation and serialization, and the logged loss.
+The analytic gradient runs the training step's own gradient function in
+float64, so the finite-difference check in the bench CLI and tests
+audits the code that trains, at full precision.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ ADAM_EPS = 1e-8
 
 # Precision of fit_array's training loop; see its docstring.
 _TRAIN_DTYPE = np.float32
+
+# Absolute lower bound on every fitted variance, in raw units.
+VAR_FLOOR = 1e-6
 
 
 def log_gamma(x):
@@ -92,14 +96,16 @@ def _nll_partials(x, mu, var, nu: float, weight: float = 1.0):
 
 
 def time_features(t) -> np.ndarray:
-    """Expand normalized timesteps (N,) to the fixed feature matrix
-    (N, FEATURE_DIM): t, then sin and cos of pi * f * t for each frequency."""
+    """Expand normalized timesteps (N,) to the bias-augmented feature
+    matrix (N, FEATURE_DIM + 1): t, then sin and cos of pi * f * t for each
+    frequency, then the ones column that carries the first layer's bias."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     angles = t[:, None] * _FEATURE_OMEGA
-    out = np.empty((t.size, FEATURE_DIM))
+    out = np.empty((t.size, FEATURE_DIM + 1))
     out[:, 0] = t
-    np.sin(angles, out=out[:, 1::2])
-    np.cos(angles, out=out[:, 2::2])
+    np.sin(angles, out=out[:, 1:-1:2])
+    np.cos(angles, out=out[:, 2:-1:2])
+    out[:, -1] = 1.0
     return out
 
 
@@ -142,7 +148,6 @@ class FitConfig:
     steps: int = 4000
     learning_rate: float = 1e-2
     seed: int = 0
-    var_floor: float = 1e-6
 
     def __post_init__(self):
         # A tuple whatever the caller passed, so the config stays hashable.
@@ -153,8 +158,6 @@ class FitConfig:
             raise ValueError(f"nu must be positive (or inf), got {self.nu}")
         if self.batch_size < 1 or self.steps < 1 or self.learning_rate <= 0:
             raise ValueError("batch size, steps, and learning rate must be positive")
-        if self.var_floor <= 0:
-            raise ValueError("variance floor must be positive")
 
     def gaussian(self) -> "FitConfig":
         return replace(self, nu=math.inf)
@@ -193,8 +196,7 @@ class StudentTEstimator:
 
     def mean_and_variance(self, tgrid) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate mu(t) and var(t) on a grid, raw units; both (T, D)."""
-        X1 = _with_bias_column(time_features(tgrid))
-        mu_net, s_raw = _forward(self._layers(), X1)[2]
+        mu_net, s_raw = _forward(self._layers(), time_features(tgrid))[2]
         scale = self.channel_scale
         return mu_net * scale + self.channel_shift, _softplus(s_raw) * scale**2 + self.var_floor
 
@@ -261,11 +263,6 @@ def _flat_params(hidden, n_channels, theta=None):
     return theta, params, layers
 
 
-def _with_bias_column(X):
-    """Append the ones column that carries the first layer's bias."""
-    return np.hstack([X, np.ones((len(X), 1))])
-
-
 def _forward(layers, X1, h1=None, h2=None, out=None):
     """Both heads on bias-augmented features X1 (N, FEATURE_DIM + 1).
 
@@ -303,7 +300,30 @@ def _backward(layers, X1t, h1, h2, dout, grads):
     np.matmul(X1t, dh1, out=G1)
 
 
-def _init_params(rng, hidden, n_channels, data, var_floor, nu=1.5):
+def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grads):
+    """One training step: the gradient of the standardized NLL into ``grads``.
+
+    Pairs at one grid step share an input, so both passes run once per grid
+    step and the (T, B) ``onehot`` sums the output gradients of the pairs
+    (values ``rows`` (B, D) at steps ``t_idx``, weight ``w`` each) onto
+    them. ``floor`` is the standardized variance floor and ``bufs`` the
+    h1, h2, out and dout pass buffers. Returns dout (2, T, D).
+    """
+    h1, h2, out, dout = bufs
+    _forward(layers, X1, h1, h2, out)
+    soft = _softplus(out[1])
+    var = soft[t_idx]
+    var += floor
+    dmu_e, dvar_e = _nll_partials(rows, out[0][t_idx], var, nu, w)
+    np.matmul(onehot, dmu_e, out=dout[0])
+    np.matmul(onehot, dvar_e, out=dout[1])
+    # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
+    dout[1] *= np.exp(out[1] - soft)
+    _backward(layers, X1t, h1, h2, dout, grads)
+    return dout
+
+
+def _init_params(rng, hidden, n_channels, data, nu=1.5):
     theta, params, layers = _flat_params(hidden, n_channels)
     h1, _ = hidden
     for head in ("mu", "s"):
@@ -326,7 +346,7 @@ def _init_params(rng, hidden, n_channels, data, var_floor, nu=1.5):
         spread = (1.4826 * np.median(np.abs(flat - med), axis=0)) ** 2
     # The lower clip keeps the starting likelihood from being so stiff that
     # the mean head cannot move (binary channels have zero robust spread).
-    params["s_b3"][...] = _softplus_inv(np.clip(spread, 1e-2, 25.0) + var_floor)
+    params["s_b3"][...] = _softplus_inv(np.clip(spread, 1e-2, 25.0) + VAR_FLOOR)
     return theta, params, layers
 
 
@@ -358,23 +378,21 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
                         estimator: StudentTEstimator) -> dict:
     """Analytic gradient of the total NLL with respect to every parameter.
 
-    Runs the same forward and backward passes as training, so the
-    finite-difference checks on it cover the fit's gradients too.
+    Runs training's step, ``_nll_gradient``, once on the whole bundle in
+    float64, so the finite-difference checks on it audit the code that
+    trains. The step works in standardized units; that NLL differs from
+    the raw-unit one by a constant, so their parameter gradients agree.
     """
-    X1 = _with_bias_column(time_features(grid))
-    layers = estimator._layers()
-    h1, h2, (mu_net, s_raw) = _forward(layers, X1)
+    n_q, n_t, n_d = data.shape
+    X1 = time_features(grid)
     scale = estimator.channel_scale
-    scale2 = scale**2
-    soft = _softplus(s_raw)
-    mu = mu_net * scale + estimator.channel_shift
-    var = soft * scale2 + estimator.var_floor
-    dmu_e, dvar_e = _nll_partials(data, mu[None, :, :], var[None, :, :], estimator.nu)
-    # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
-    dout = np.stack([dmu_e.sum(axis=0) * scale,
-                     dvar_e.sum(axis=0) * scale2 * np.exp(s_raw - soft)])
-    _grad, views, grads = _flat_params(estimator.hidden, estimator.n_channels)
-    _backward(layers, X1.T, h1, h2, dout, grads)
+    rows = ((data - estimator.channel_shift) / scale).reshape(n_q * n_t, n_d)
+    t_idx = np.tile(np.arange(n_t), n_q)
+    onehot = (np.arange(n_t)[:, None] == t_idx).astype(float)
+    _grad, views, grads = _flat_params(estimator.hidden, n_d)
+    _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, onehot,
+                  estimator.var_floor / scale**2, estimator.nu, 1.0,
+                  [np.empty((2, n_t, n)) for n in (*estimator.hidden, n_d, n_d)], grads)
     return views
 
 
@@ -420,28 +438,22 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     data_std = (data - shift) / scale
     # Every array the loop touches is _TRAIN_DTYPE, and its scalars are
     # Python floats: one float64 operand would upcast the whole step.
-    floor_std = (config.var_floor / scale**2).astype(_TRAIN_DTYPE)
+    floor_std = (VAR_FLOOR / scale**2).astype(_TRAIN_DTYPE)
     nu = float(config.nu)
 
-    theta, _, _ = _init_params(rng, config.hidden, n_d, data_std,
-                               config.var_floor, config.nu)
+    theta, _, _ = _init_params(rng, config.hidden, n_d, data_std, config.nu)
     theta_train = theta.astype(_TRAIN_DTYPE)
     layers = _flat_params(config.hidden, n_d, theta_train)[2]
     grad = np.zeros_like(theta_train)
     grads = _flat_params(config.hidden, n_d, grad)[2]
-    n_h1, n_h2 = config.hidden
-    # Every pair at grid step t feeds the networks the same input, so both
-    # passes run once per grid step and the minibatch only sets how much
-    # each step's output gradient weighs: a one-hot (T, B) matrix sums the
-    # per-pair gradients onto their grid steps.
-    features = _with_bias_column(time_features(grid)).astype(_TRAIN_DTYPE)
+    features = time_features(grid).astype(_TRAIN_DTYPE)
     features_t = np.ascontiguousarray(features.T)
     flat = data_std.reshape(n_q * n_t, n_d).astype(_TRAIN_DTYPE)
     t_of_pair = np.tile(np.arange(n_t), n_q)
     grid_index = np.arange(n_t)[:, None]
 
     est = StudentTEstimator(theta=theta, nu=config.nu, hidden=tuple(config.hidden),
-                            n_channels=n_d, var_floor=config.var_floor,
+                            n_channels=n_d, var_floor=VAR_FLOOR,
                             channel_shift=shift, channel_scale=scale)
 
     # Adam moments kept without their (1 - beta) factors, which fold into
@@ -459,10 +471,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     else:
         onehot = np.empty((n_t, config.batch_size), dtype=_TRAIN_DTYPE)
     w = 1.0 / onehot.shape[1]
-    h1 = np.empty((2, n_t, n_h1), dtype=_TRAIN_DTYPE)
-    h2 = np.empty((2, n_t, n_h2), dtype=_TRAIN_DTYPE)
-    out = np.empty((2, n_t, n_d), dtype=_TRAIN_DTYPE)
-    dout = np.empty((2, n_t, n_d), dtype=_TRAIN_DTYPE)
+    bufs = [np.empty((2, n_t, n), dtype=_TRAIN_DTYPE) for n in (*config.hidden, n_d, n_d)]
     chunk_size = 512
 
     # Variance-floor warmup: while the floor is high, every channel sees
@@ -484,21 +493,12 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
         progress = min(1.0, step / (warm_frac * config.steps))
         warm = warm_start * (warm_end / warm_start) ** progress
-        _forward(layers, features, h1, h2, out)
-        soft = _softplus(out[1])
-        var = soft[t_idx]
-        var += np.maximum(floor_std, warm)
-        dmu_e, dvar_e = _nll_partials(a, out[0][t_idx], var, nu, w)
-        np.matmul(onehot, dmu_e, out=dout[0])
-        np.matmul(onehot, dvar_e, out=dout[1])
-        # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
-        dout[1] *= np.exp(out[1] - soft)
+        dout = _nll_gradient(layers, features, features_t, a, t_idx, onehot,
+                             np.maximum(floor_std, warm), nu, w, bufs, grads)
         # The weight gradients are sums of dout times bounded activations,
         # so screening this small array catches a non-finite step.
         if not np.isfinite(dout).all():
             raise TrainingError(f"gradient became non-finite at step {step}", step=step)
-
-        _backward(layers, features_t, h1, h2, dout, grads)
 
         # Cosine decay to 1% of the base rate: a constant rate leaves the
         # optimizer rattling around the collapsed-variance optimum and the
@@ -600,13 +600,13 @@ def gradient_check(seed: int = 0, n_configs: int = 20,
         grid = np.linspace(0.0, 1.0, n_t)
         data = rng.normal(0.0, 1.0, (n_q, n_t, n_d))
         hidden = (int(rng.integers(4, 9)), int(rng.integers(4, 9)))
-        theta, params, _layers = _init_params(rng, hidden, n_d, data, 1e-6, nu)
+        theta, params, _layers = _init_params(rng, hidden, n_d, data, nu)
         # Perturb the zero-initialized output weights so the check covers
         # a generic point in parameter space.
         for head in ("mu", "s"):
             params[f"{head}_W3"][...] = rng.normal(0.0, 0.3, params[f"{head}_W3"].shape)
         est = StudentTEstimator(theta=theta, nu=nu, hidden=hidden,
-                                n_channels=n_d, var_floor=1e-6,
+                                n_channels=n_d, var_floor=VAR_FLOOR,
                                 channel_shift=rng.normal(0.0, 1.0, n_d),
                                 channel_scale=rng.uniform(0.5, 2.0, n_d))
         analytic = loss_gradient_array(data, grid, est)

@@ -12,15 +12,16 @@ not be decoded is an explicit failure marker, never a silent omission.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .core import KeypointSet, Trajectory, resample_trajectory
 from .errors import MalformedResponseError, TransportError
@@ -309,16 +310,18 @@ def _extract_completion(payload: dict) -> str:
 
 
 def _default_post(url: str, body: dict, timeout: float, headers: dict) -> dict:
-    resp = requests.post(url, json=body, timeout=timeout, headers=headers)
-    resp.raise_for_status()
-    return resp.json()
+    # An HTTP error status raises urllib.error.HTTPError, an OSError.
+    request = urllib.request.Request(url, data=json.dumps(body).encode(),
+                                     headers=headers, method="POST")
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
+        return json.loads(resp.read())
 
 
 class RemotePolicyClient:
     """Thin concurrent client for a completion-style HTTP endpoint.
 
     ``post_fn`` is injectable so tests can exercise retry and failure
-    handling without a network; the default posts JSON via requests.
+    handling without a network; the default posts JSON via urllib.
     """
 
     def __init__(self, config: RemoteConfig, post_fn=None, audit: _QueryAudit | None = None):
@@ -350,7 +353,7 @@ class RemotePolicyClient:
                 last_error = str(exc)
                 self._log(index, attempts, body, response=None, error=last_error)
                 status = "malformed"
-            except (requests.RequestException, OSError, ValueError) as exc:
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 self._log(index, attempts, body, response=None, error=last_error)
                 status = "transport-error"

@@ -7,6 +7,7 @@ workers but stay deterministic: every trial is seeded independently.
 
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -136,31 +137,36 @@ def test_criterion_4_robust_location_recovery():
            time.perf_counter() - t0, 120)
 
 
+def criterion_5_seed(seed):
+    """One seed of criterion 5: (t beats Gaussian by 2x, slot 0 drew the
+    hallucination, both fits beat that hallucinated sample)."""
+    delta = 0.14
+    ctx, consensus = make_consensus_task(seed, "pick")
+    oracle_cfg = SyntheticOracleConfig(
+        seed=seed, task_shape="pick", noise_scale=0.005,
+        planted_hallucinations=1, hallucination_offset=delta)
+    policy = PolicyConfig(backend="synthetic", query_count=5, synthetic=oracle_cfg)
+    fit_cfg = FitConfig(steps=3000, seed=seed)
+    traj_t, _ = run_rip(ctx, policy, fit_cfg)
+    traj_g, _ = run_rip_gauss(ctx, policy, fit_cfg)
+    rmse_t = trajectory_rmse(traj_t, consensus)
+    rmse_g = trajectory_rmse(traj_g, consensus)
+    first = sample_trajectories(ctx, policy)[0].trajectory
+    rmse_first = trajectory_rmse(first, consensus)
+    hallucinated = rmse_first > delta / 2 / math.sqrt(3)
+    return rmse_t < 0.5 * rmse_g, hallucinated, rmse_t < rmse_first and rmse_g < rmse_first
+
+
 def test_criterion_5_robustness_ordering():
     t0 = time.perf_counter()
     n_seeds = 20
-    delta = 0.14
-    ratio_wins = 0
-    single_checks, single_wins = 0, 0
-    for seed in range(n_seeds):
-        ctx, consensus = make_consensus_task(seed, "pick")
-        oracle_cfg = SyntheticOracleConfig(
-            seed=seed, task_shape="pick", noise_scale=0.005,
-            planted_hallucinations=1, hallucination_offset=delta)
-        policy = PolicyConfig(backend="synthetic", query_count=5, synthetic=oracle_cfg)
-        fit_cfg = FitConfig(steps=3000, seed=seed)
-        traj_t, _ = run_rip(ctx, policy, fit_cfg)
-        traj_g, _ = run_rip_gauss(ctx, policy, fit_cfg)
-        rmse_t = trajectory_rmse(traj_t, consensus)
-        rmse_g = trajectory_rmse(traj_g, consensus)
-        if rmse_t < 0.5 * rmse_g:
-            ratio_wins += 1
-        first = sample_trajectories(ctx, policy)[0].trajectory
-        rmse_first = trajectory_rmse(first, consensus)
-        if rmse_first > delta / 2 / math.sqrt(3):  # slot 0 drew the hallucination
-            single_checks += 1
-            if rmse_t < rmse_first and rmse_g < rmse_first:
-                single_wins += 1
+    # Spawned workers: the test process may still hold threads from
+    # earlier tests, and forking a threaded process is unsafe.
+    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        outcomes = list(pool.map(criterion_5_seed, range(n_seeds)))
+    ratio_wins = sum(win for win, _, _ in outcomes)
+    single_checks = sum(checked for _, checked, _ in outcomes)
+    single_wins = sum(checked and beat for _, checked, beat in outcomes)
     ok = ratio_wins >= 0.9 * n_seeds and single_wins == single_checks
     report(5, ok, f"RMSE ratio < 0.5 in {ratio_wins}/{n_seeds} seeds (need 18); "
            f"beat the hallucinated single sample {single_wins}/{single_checks}",

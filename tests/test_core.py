@@ -193,6 +193,16 @@ class TestResample:
         tr = random_trajectory(rng, n=14)
         assert resample_trajectory(tr, 14) is tr
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 80), st.integers(2, 80), st.integers(0, 2**32 - 1))
+    def test_length_endpoints_and_gripper_values(self, n_in, n_out, seed):
+        rng = np.random.default_rng(seed)
+        tr = random_trajectory(rng, n=n_in, n_transitions=int(rng.integers(0, n_in)))
+        out = resample_trajectory(tr, n_out)
+        assert len(out) == n_out
+        np.testing.assert_array_equal(out.data[[0, -1]], tr.data[[0, -1]])
+        assert set(out.data[:, 9]) <= set(tr.data[:, 9])
+
 
 # Files come from outside the program. A valid file object has one or two
 # of its nodes deleted or replaced by any JSON value: NaN, inf, strings,

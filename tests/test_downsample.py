@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory, random_trajectory
 
@@ -91,6 +92,34 @@ class TestDownsample:
                                    n_transitions=int(rng.integers(0, 4)))
             out = downsample(tr, 30)
             assert downsample(out, 30) is out
+
+
+@st.composite
+def _thinning_case(draw):
+    """A trajectory whose x channel is its step index, and a target length
+    below its length but at or above its masked step count."""
+    g = draw(st.lists(st.sampled_from([0, 1]), min_size=3, max_size=120))
+    tr = line_trajectory(len(g), x0=0.0, x1=len(g) - 1.0, g=g)
+    n_masked = len(mask_key_steps(tr))
+    if n_masked == len(g):  # nothing left to thin
+        return tr, len(g)
+    return tr, draw(st.integers(n_masked, len(g) - 1))
+
+
+class TestDownsampleProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_thinning_case())
+    def test_exact_length_keeps_masks_and_is_a_subsequence(self, case):
+        tr, target = case
+        out = downsample(tr, target)
+        if target == len(tr):
+            assert out is tr
+            return
+        idx = np.rint(out.data[:, 0]).astype(int)
+        assert len(out) == target
+        assert set(mask_key_steps(tr)) <= set(idx.tolist())
+        assert np.all(np.diff(idx) > 0)
+        np.testing.assert_array_equal(out.data, tr.data[idx])
 
 
 class TestUniformDownsample:

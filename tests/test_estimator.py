@@ -493,8 +493,6 @@ class TestFitConfig:
             FitConfig(steps=0)
         with pytest.raises(ValueError):
             FitConfig(hidden=(0, 4))
-        with pytest.raises(ValueError):
-            FitConfig(var_floor=0.0)
 
     def test_gaussian_helper(self):
         cfg = FitConfig(nu=1.5)

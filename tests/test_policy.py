@@ -1,9 +1,17 @@
+import http.client
+import json
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rip
 from rip.core import Trajectory
 from rip.downsample import gripper_transitions
 from rip.errors import TransportError
@@ -246,8 +254,6 @@ class TestRemoteClient:
         assert result.ok
 
     def test_audit_log_written(self, tmp_path):
-        import json
-
         from rip.policy import _QueryAudit
 
         ctx, consensus = make_consensus_task(0, "reach")
@@ -264,6 +270,72 @@ class TestRemoteClient:
         record = json.loads(lines[0])
         assert record["query_index"] == 3
         assert record["request"]["prompt"] == "prompt text"
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Serves ``self.server.replies[path]``: (status, body, declared length)."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        status, body, length = self.server.replies[self.path]
+        self.send_response(status)
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A local HTTP server; set ``server.replies[path]`` before posting."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.replies = {}
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestDefaultPost:
+    """The stdlib transport, against a real loopback server."""
+
+    def query(self, server, path, status, body, length=None):
+        server.replies[path] = (status, body, len(body) if length is None else length)
+        host, port = server.server_address
+        cfg = remote_config(endpoint=f"http://{host}:{port}{path}", max_retries=0)
+        return RemotePolicyClient(cfg).query_one("prompt", 0)
+
+    def test_ok_reply_decodes(self, loopback):
+        _, consensus = make_consensus_task(0, "reach")
+        body = json.dumps(fake_completion(consensus)).encode()
+        result = self.query(loopback, "/ok", 200, body)
+        assert result.status == "ok"
+        np.testing.assert_allclose(result.trajectory.data, consensus.data, atol=1e-3)
+
+    @pytest.mark.parametrize("status, body", [(500, b"{}"), (200, b"<html>busy</html>")])
+    def test_error_status_or_non_json_body_is_a_transport_error(self, loopback, status, body):
+        result = self.query(loopback, "/bad", status, body)
+        assert result.status == "transport-error"
+        assert result.trajectory is None
+
+    def test_truncated_body_is_a_failed_slot(self, loopback):
+        # The reply declares more bytes than it sends, so the read raises
+        # http.client.IncompleteRead, which is not an OSError.
+        assert not issubclass(http.client.IncompleteRead, OSError)
+        result = self.query(loopback, "/short", 200, b'{"completion": "1 2', length=400)
+        assert result.status == "transport-error"
+
+
+def test_import_leaves_requests_unloaded():
+    src = str(Path(rip.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import rip; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigValidation:
