@@ -107,6 +107,12 @@ class SweepSettings:
     fit: FitConfig = FitConfig(steps=3000)
     success: SuccessSpec = SuccessSpec()
 
+    def __post_init__(self):
+        if not self.cells() or min(self.q_values) < 1:
+            raise ValueError(f"the sweep needs a nu and a Q, each Q >= 1; got Q {self.q_values}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+
     def cells(self) -> list:
         return [(q, nu) for q in self.q_values for nu in self.nu_values]
 
@@ -144,8 +150,6 @@ def _map_trials(fn, workers: int, chunksize: int, *args) -> list:
 def run_sweep(settings: SweepSettings, workers: int = 1) -> list[CellResult]:
     """Run the full (Q, nu) grid and aggregate per-cell metrics."""
     cells = settings.cells()
-    if not cells or settings.trials < 1:
-        raise ValueError("empty sweep grid")
     jobs = [(q, nu, trial_seed(settings.master_seed, ci, ti), settings)
             for ci, (q, nu) in enumerate(cells) for ti in range(settings.trials)]
     outcomes = _map_trials(run_cell_trial, workers, 4, *zip(*jobs))
@@ -221,6 +225,10 @@ class DownsampleBenchSettings:
     )
     fit: FitConfig = FitConfig(steps=3000)
     success: SuccessSpec = SuccessSpec(event_position_tol=DEFAULT_FINAL_TOL)
+
+    def __post_init__(self):
+        if self.n_seeds < 1 or self.query_count < 1:
+            raise ValueError(f"seeds and Q must be >= 1, got {self.n_seeds} and {self.query_count}")
 
 
 def run_downsample_trial(seed: int, method: str,

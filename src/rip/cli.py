@@ -27,7 +27,6 @@ from .pipeline import run_rip, run_rip_gauss, single_sample
 from .policy import (
     PolicyConfig,
     RemoteConfig,
-    SyntheticOracleConfig,
     TASK_SHAPES,
     make_consensus_task,
 )
@@ -49,93 +48,108 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_nu(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(text)
-    if value <= 0:
-        raise _UsageError(f"nu must be positive or 'inf', got {text}")
+    value = float(text)  # also reads 'inf' and 'infinity'
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"nu must be positive or 'inf', got {text}")
     return value
 
 
-def _add_fit_flags(p):
-    p.add_argument("--nu", type=str, default="1.5", help="degrees of freedom, or 'inf'")
-    p.add_argument("--fit-steps", type=int, default=4000)
-    p.add_argument("--fit-lr", type=float, default=1e-2)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--hidden", type=int, nargs=2, default=[64, 64], metavar=("H1", "H2"))
+# Flags that set a config field, as flag: (field, add_argument keywords).
+# They have no default of their own: a command starts from the library's
+# config and replaces the fields whose flags were given.
+_FIT_FLAGS = {
+    "--nu": ("nu", dict(type=_parse_nu, help="degrees of freedom, or 'inf'")),
+    "--fit-steps": ("steps", dict(type=int)),
+    "--fit-lr": ("learning_rate", dict(type=float)),
+    "--batch-size": ("batch_size", dict(type=int)),
+    "--hidden": ("hidden", dict(type=int, nargs=2, metavar=("H1", "H2"))),
+}
+_ORACLE_FLAGS = {
+    "--task-shape": ("task_shape", dict(choices=TASK_SHAPES)),
+    "--noise-scale": ("noise_scale", dict(
+        type=float, help="per-step position noise of good samples (m)")),
+    "--hallucination-prob": ("hallucination_prob", dict(type=float)),
+    "--hallucination-offset": ("hallucination_offset", dict(
+        type=float, help="displacement magnitude of a hallucinated sample (m)")),
+    "--hallucination-mode": ("hallucination_mode", dict(choices=("offset", "random-walk"))),
+}
+_POLICY_FLAGS = {
+    "--backend": ("backend", dict(choices=("synthetic", "remote"))),
+    "--q": ("query_count", dict(type=int, help="number of policy queries")),
+}
+_REMOTE_FLAGS = {
+    "--model": ("model", {}),
+    "--temperature": ("temperature", dict(type=float)),
+    "--timeout": ("timeout_s", dict(type=float)),
+    "--max-retries": ("max_retries", dict(type=int)),
+}
+_SWEEP_FLAGS = {
+    "--q-grid": ("q_values", dict(type=int, nargs="+")),
+    "--nu-grid": ("nu_values", dict(type=_parse_nu, nargs="+")),
+    "--trials": ("trials", dict(type=int)),
+    "--seed": ("master_seed", dict(type=int)),
+}
+_DOWNSAMPLE_FLAGS = {
+    "--seeds": ("n_seeds", dict(type=int)),
+    "--seed": ("master_seed", dict(type=int, help="master seed")),
+    "--q": ("query_count", dict(type=int)),
+    "--target-len": ("target_len", dict(type=int)),
+}
 
 
-def _add_oracle_flags(p):
-    p.add_argument("--task-shape", choices=TASK_SHAPES, default="pick")
-    p.add_argument("--noise-scale", type=float, default=0.005,
-                   help="per-step position noise of good samples (m)")
-    p.add_argument("--hallucination-prob", type=float, default=0.2)
-    p.add_argument("--hallucination-offset", type=float, default=0.2,
-                   help="displacement magnitude of a hallucinated sample (m)")
-    p.add_argument("--hallucination-mode", choices=("offset", "random-walk"),
-                   default="offset")
+def _add_flags(parser, table, *flags):
+    """Add the named flags of ``table``, or all of them, with no default."""
+    for flag in flags or table:
+        parser.add_argument(flag, default=argparse.SUPPRESS, **table[flag][1])
 
 
-def _fit_config(args, seed) -> FitConfig:
-    return FitConfig(
-        hidden=tuple(args.hidden),
-        nu=_parse_nu(args.nu),
-        batch_size=args.batch_size,
-        steps=args.fit_steps,
-        learning_rate=args.fit_lr,
-        seed=seed,
-    )
+def _config(base, args, table, **fixed):
+    """``base`` with the fields of the ``table`` flags given in ``args``,
+    then ``fixed``. A value the config rejects is a usage error."""
+    given = vars(args)
+    changes = {}
+    for flag, (field, _) in table.items():
+        value = given.get(flag[2:].replace("-", "_"))
+        if value is not None:
+            changes[field] = tuple(value) if isinstance(value, list) else value
+    try:
+        return replace(base, **changes, **fixed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
-def _oracle_config(args, seed) -> SyntheticOracleConfig:
-    return SyntheticOracleConfig(
-        seed=seed,
-        task_shape=args.task_shape,
-        noise_scale=args.noise_scale,
-        hallucination_prob=args.hallucination_prob,
-        hallucination_offset=args.hallucination_offset,
-        hallucination_mode=args.hallucination_mode,
-    )
+def _bench_settings(base, args, table):
+    """Sweep or downsample-bench settings, with their oracle and fit configs."""
+    return _config(base, args, table,
+                   oracle=_config(base.oracle, args, _ORACLE_FLAGS),
+                   fit=_config(base.fit, args, _FIT_FLAGS))
 
 
 def _policy_config(args, oracle) -> PolicyConfig:
     remote = None
-    if args.backend == "remote":
+    if vars(args).get("backend") == "remote":
         if not args.endpoint:
             raise _UsageError("--endpoint is required with --backend remote")
-        remote = RemoteConfig(
-            endpoint=args.endpoint,
-            model=args.model,
-            temperature=args.temperature,
-            timeout_s=args.timeout,
-            max_retries=args.max_retries,
-        )
+        remote = _config(RemoteConfig(args.endpoint), args, _REMOTE_FLAGS)
     preamble = None
     if args.preamble_file:
         preamble = Path(args.preamble_file).read_text(encoding="utf-8")
-    return PolicyConfig(
-        backend=args.backend,
-        query_count=args.q,
-        synthetic=oracle,
-        remote=remote,
-        preamble=preamble,
-        log_queries_path=args.log_queries,
-    )
+    return _config(PolicyConfig(), args, _POLICY_FLAGS, synthetic=oracle, remote=remote,
+                   preamble=preamble, log_queries_path=args.log_queries)
 
 
 def cmd_aggregate(args) -> int:
-    if args.q < 1:
-        raise _UsageError(f"--q must be >= 1, got {args.q}")
     seed = args.seed
-    oracle = _oracle_config(args, seed)
+    # One aggregation on the sweep's task, by default.
+    oracle = _config(bench.SweepSettings().oracle, args, _ORACLE_FLAGS, seed=seed)
     policy = _policy_config(args, oracle)
-    fit_cfg = _fit_config(args, seed)
+    fit_cfg = _config(FitConfig(), args, _FIT_FLAGS, seed=seed)
 
     if args.context:
         context = jsonio.load_context(args.context)
         consensus = None
     else:
-        context, consensus = make_consensus_task(seed, args.task_shape)
+        context, consensus = make_consensus_task(seed, oracle.task_shape)
 
     if args.method == "rip":
         trajectory, report = run_rip(context, policy, fit_cfg)
@@ -158,27 +172,17 @@ def cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
+def _write_plot_data(path: Path, header: str, rows) -> Path:
+    """One plot-data file: the header, then one comma-joined line per row."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    return path
+
+
 def cmd_sweep(args) -> int:
-    if not args.q_grid or not args.nu_grid:
-        raise _UsageError("sweep needs a non-empty --q-grid and --nu-grid")
-    if any(q < 1 for q in args.q_grid):
-        raise _UsageError("every Q in --q-grid must be >= 1")
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
-    settings = bench.SweepSettings(
-        q_values=tuple(args.q_grid),
-        nu_values=tuple(_parse_nu(n) for n in args.nu_grid),
-        trials=args.trials,
-        master_seed=args.seed,
-        oracle=_oracle_config(args, args.seed),
-        fit=FitConfig(
-            hidden=tuple(args.hidden),
-            batch_size=args.batch_size,
-            steps=args.fit_steps,
-            learning_rate=args.fit_lr,
-            seed=args.seed,
-        ),
-    )
+    settings = _bench_settings(bench.SweepSettings(), args, _SWEEP_FLAGS)
     results = bench.run_sweep(settings, workers=args.workers)
     bench.write_sweep_csv(args.out, results, append=args.append)
     print(f"wrote {args.out}")
@@ -186,61 +190,35 @@ def cmd_sweep(args) -> int:
         print(f"  q={r.q} nu={bench._fmt_nu(r.nu)}: success {r.success_rate:.2%}, "
               f"rmse {r.rmse_mean * 1000:.1f} mm over {r.n_trials} trials")
     if args.plot_data:
-        _write_plot_data(Path(args.plot_data), results)
+        plots = Path(args.plot_data)
+        by_q = _write_plot_data(plots / "success_vs_q.csv", "q,nu,success_rate", (
+            (r.q, bench._fmt_nu(r.nu), f"{r.success_rate:.4f}")
+            for r in sorted(results, key=lambda r: (r.nu, r.q))))
+        by_nu = _write_plot_data(plots / "success_vs_nu.csv", "nu,q,success_rate", (
+            (bench._fmt_nu(r.nu), r.q, f"{r.success_rate:.4f}")
+            for r in sorted(results, key=lambda r: (r.q, r.nu))))
+        print(f"wrote {by_q} and {by_nu}")
     return EXIT_OK
 
 
-def _write_plot_data(directory: Path, results) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    by_q = directory / "success_vs_q.csv"
-    by_nu = directory / "success_vs_nu.csv"
-    with open(by_q, "w", encoding="utf-8") as fh:
-        fh.write("q,nu,success_rate\n")
-        for r in sorted(results, key=lambda r: (r.nu, r.q)):
-            fh.write(f"{r.q},{bench._fmt_nu(r.nu)},{r.success_rate:.4f}\n")
-    with open(by_nu, "w", encoding="utf-8") as fh:
-        fh.write("nu,q,success_rate\n")
-        for r in sorted(results, key=lambda r: (r.q, r.nu)):
-            fh.write(f"{bench._fmt_nu(r.nu)},{r.q},{r.success_rate:.4f}\n")
-    print(f"wrote {by_q} and {by_nu}")
-
-
 def cmd_downsample_bench(args) -> int:
-    if args.seeds < 1:
-        raise _UsageError("--seeds must be >= 1")
-    settings = bench.DownsampleBenchSettings(
-        n_seeds=args.seeds,
-        master_seed=args.seed,
-        target_len=args.target_len,
-        query_count=args.q,
-        oracle=replace(
-            bench.DownsampleBenchSettings().oracle,
-            noise_scale=args.noise_scale,
-            hallucination_prob=args.hallucination_prob,
-            hallucination_offset=args.hallucination_offset,
-        ),
-        fit=FitConfig(steps=args.fit_steps, learning_rate=args.fit_lr, seed=args.seed),
-    )
+    settings = _bench_settings(bench.DownsampleBenchSettings(), args, _DOWNSAMPLE_FLAGS)
     rows = bench.run_downsample_bench(settings, workers=args.workers)
     bench.write_downsample_csv(args.out, rows, append=args.append)
     rates = bench.downsample_success_rates(rows)
     print(f"wrote {args.out}")
     for method, rate in rates.items():
-        print(f"  {method}: success {rate:.2%} over {args.seeds} seeds")
+        print(f"  {method}: success {rate:.2%} over {settings.n_seeds} seeds")
     if args.plot_data:
-        directory = Path(args.plot_data)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "success_vs_method.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("method,success_rate\n")
-            for method in bench.DOWNSAMPLE_METHODS:
-                fh.write(f"{method},{rates[method]:.4f}\n")
+        path = _write_plot_data(Path(args.plot_data) / "success_vs_method.csv",
+                                "method,success_rate",
+                                ((m, f"{rates[m]:.4f}") for m in bench.DOWNSAMPLE_METHODS))
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    nus = (_parse_nu(args.nu),) if args.nu else (1.25, 1.5, 3.0, math.inf)
+    nus = (args.nu,) if args.nu else (1.25, 1.5, 3.0, math.inf)
     worst = gradient_check(seed=args.seed, n_configs=args.configs, nus=nus)
     print(f"max relative gradient error over {args.configs} configs: {worst:.3e}")
     if worst > args.tolerance:
@@ -271,60 +249,44 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("aggregate", help="run one aggregation and write the trajectory")
     p.add_argument("--method", choices=("rip", "rip_gauss", "single_sample"), default="rip")
-    p.add_argument("--backend", choices=("synthetic", "remote"), default="synthetic")
-    p.add_argument("--q", type=int, default=5, help="number of policy queries")
+    _add_flags(p, _POLICY_FLAGS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", help="context JSON path (default: generate a synthetic task)")
     p.add_argument("--out", default="trajectory.json")
     p.add_argument("--report", default="report.json")
     p.add_argument("--endpoint", help="remote completion endpoint URL")
-    p.add_argument("--model", default="instant-policy")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-retries", type=int, default=2)
+    _add_flags(p, _REMOTE_FLAGS)
     p.add_argument("--preamble-file", help="override the built-in prompt preamble")
     p.add_argument("--log-queries", help="JSONL audit log for remote queries")
-    _add_fit_flags(p)
-    _add_oracle_flags(p)
+    _add_flags(p, _FIT_FLAGS)
+    _add_flags(p, _ORACLE_FLAGS)
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("sweep", help="success-rate grid over Q and nu")
-    p.add_argument("--q-grid", type=int, nargs="+", default=[2, 3, 5, 10])
-    p.add_argument("--nu-grid", type=str, nargs="+", default=["1.5"])
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, _SWEEP_FLAGS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--append", action="store_true", help="append rows, keep existing header")
     p.add_argument("--plot-data", help="directory for per-figure data files")
-    p.add_argument("--fit-steps", type=int, default=3000)
-    p.add_argument("--fit-lr", type=float, default=1e-2)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--hidden", type=int, nargs=2, default=[64, 64], metavar=("H1", "H2"))
-    _add_oracle_flags(p)
+    _add_flags(p, _FIT_FLAGS, "--fit-steps", "--fit-lr", "--batch-size", "--hidden")
+    _add_flags(p, _ORACLE_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("downsample-bench",
                        help="mask-based vs uniform demonstration thinning")
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--target-len", type=int, default=30)
+    _add_flags(p, _DOWNSAMPLE_FLAGS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="downsample_bench.csv")
     p.add_argument("--append", action="store_true")
     p.add_argument("--plot-data", help="directory for per-figure data files")
-    p.add_argument("--noise-scale", type=float, default=0.003)
-    p.add_argument("--hallucination-prob", type=float, default=0.1)
-    p.add_argument("--hallucination-offset", type=float, default=0.2)
-    p.add_argument("--fit-steps", type=int, default=3000)
-    p.add_argument("--fit-lr", type=float, default=1e-2)
+    _add_flags(p, _ORACLE_FLAGS, "--noise-scale", "--hallucination-prob", "--hallucination-offset")
+    _add_flags(p, _FIT_FLAGS, "--fit-steps", "--fit-lr")
     p.set_defaults(func=cmd_downsample_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the gradient")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--configs", type=int, default=20)
-    p.add_argument("--nu", type=str, default="", help="restrict to one nu (or 'inf')")
+    p.add_argument("--nu", type=_parse_nu, help="restrict to one nu (or 'inf')")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -338,8 +300,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(argv, parser):
-    """--config FILE supplies defaults; explicit flags still win."""
+def _apply_config_file(argv):
+    """--config FILE supplies flag values. They go in before the flags given
+    on the command line, and argparse keeps the last value, so those win."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -356,8 +319,6 @@ def _apply_config_file(argv, parser):
     extra = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        if flag in rest:
-            continue  # explicit flag overrides the file
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
@@ -376,7 +337,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

@@ -154,10 +154,11 @@ class FitConfig:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden must be two positive sizes, got {self.hidden}")
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"nu must be positive (or inf), got {self.nu}")
-        if self.batch_size < 1 or self.steps < 1 or self.learning_rate <= 0:
-            raise ValueError("batch size, steps, and learning rate must be positive")
+        if self.batch_size < 1 or self.steps < 1 or not 0 < self.learning_rate < math.inf:
+            raise ValueError("batch size, steps, and learning rate must be positive, "
+                             "and the learning rate finite")
 
     def gaussian(self) -> "FitConfig":
         return replace(self, nu=math.inf)

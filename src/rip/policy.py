@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -28,6 +29,11 @@ from .errors import MalformedResponseError, TransportError
 from .tokens import PolicyContext, decode_trajectory, encode_context
 
 TASK_SHAPES = ("reach", "push", "pick")
+
+# Remote queries run concurrently, one thread per query up to this many, so
+# a large Q cannot start thousands of threads. The executor default is not
+# used: on two cores it is 6, which would split a Q = 10 episode into two waves.
+_MAX_QUERY_THREADS = 32
 
 # Fingertip offsets from the gripper body point, meters.
 _FINGER_LEFT = np.array([0.0, 0.035, -0.02])
@@ -62,8 +68,8 @@ class SyntheticOracleConfig:
     def __post_init__(self):
         if self.task_shape not in TASK_SHAPES:
             raise ValueError(f"task shape must be one of {TASK_SHAPES}, got {self.task_shape!r}")
-        if self.noise_scale < 0 or self.hallucination_offset < 0:
-            raise ValueError("noise scale and hallucination offset must be >= 0")
+        if not (0 <= self.noise_scale < math.inf and 0 <= self.hallucination_offset < math.inf):
+            raise ValueError("noise scale and hallucination offset must be finite and >= 0")
         if not 0.0 <= self.hallucination_prob <= 1.0:
             raise ValueError("hallucination probability must lie in [0, 1]")
         if self.hallucination_mode not in ("offset", "random-walk"):
@@ -84,8 +90,10 @@ class RemoteConfig:
     api_key_env: str = "RIP_API_KEY"
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError("max retries must be >= 0")
 
@@ -405,7 +413,7 @@ def sample_with_client(
     """Remote sampling with an injected client (testing seam)."""
     prompt = encode_context(context, preamble=config.preamble)
     q = config.query_count
-    with ThreadPoolExecutor(max_workers=q) as pool:
+    with ThreadPoolExecutor(max_workers=min(q, _MAX_QUERY_THREADS)) as pool:
         futures = [pool.submit(client.query_one, prompt, i) for i in range(q)]
         results = [f.result() for f in futures]
     statuses = [r.status for r in results]

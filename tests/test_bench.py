@@ -189,3 +189,15 @@ class TestDownsampleBench:
         rows = run_downsample_bench(settings)
         rates = downsample_success_rates(rows)
         assert abs(rates["g_based"] - rates["uniform"]) <= 0.34
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (SweepSettings, dict(q_values=(2, 0))),
+    (SweepSettings, dict(nu_values=())),
+    (SweepSettings, dict(trials=0)),
+    (DownsampleBenchSettings, dict(n_seeds=0)),
+    (DownsampleBenchSettings, dict(query_count=0)),
+])
+def test_settings_checked_on_construction(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)

@@ -1,7 +1,13 @@
+import argparse
 import json
+import math
 
-from rip import jsonio
-from rip.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
+import pytest
+
+from rip import bench, jsonio
+from rip.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, build_parser, main
+from rip.estimator import FitConfig
+from rip.policy import PolicyConfig, RemoteConfig, SyntheticOracleConfig
 
 
 def run(argv):
@@ -157,4 +163,164 @@ class TestParser:
         assert run(["fly-to-the-moon"]) == EXIT_USAGE
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
-        assert run(["aggregate", "--q", "many", "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+        # Values refused by argparse and values refused by a config exit
+        # alike, whether they come from a flag or from --config.
+        out = ["--out", str(tmp_path / "out")]
+        aggregate = ["aggregate", "--report", str(tmp_path / "report")] + out
+        remote = aggregate + ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1"]
+        sweep, downsample = ["sweep"] + out, ["downsample-bench"] + out
+        cases = [
+            (aggregate, "q", "many"),
+            (aggregate, "q", 0),
+            (aggregate, "nu", 0),
+            (aggregate, "nu", "abc"),
+            (aggregate, "nu", "nan"),
+            (aggregate, "fit_steps", 0),
+            (aggregate, "fit_lr", "nan"),
+            (aggregate, "fit_lr", "inf"),
+            (aggregate, "hidden", [0, 4]),
+            (aggregate, "hallucination_prob", 2),
+            (aggregate, "noise_scale", "nan"),
+            (aggregate, "hallucination_offset", "inf"),
+            (remote, "temperature", "nan"),
+            (remote, "timeout", -1),
+            (sweep, "q_grid", [0]),
+            (sweep, "nu_grid", ["abc"]),
+            (sweep, "trials", 0),
+            (sweep, "fit_lr", "inf"),
+            (downsample, "q", 0),
+            (downsample, "seeds", 0),
+            (downsample, "noise_scale", "nan"),
+            (["gradcheck"], "nu", ""),
+        ]
+        failed = []
+        for i, (argv, key, value) in enumerate(cases):
+            values = value if isinstance(value, list) else [value]
+            flag = ["--" + key.replace("_", "-")] + [str(v) for v in values]
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({key: value}))
+            for full in (argv + flag, argv + ["--config", str(cfg)]):
+                if run(full) != EXIT_USAGE:
+                    failed.append(full)
+        assert failed == []
+
+
+# Each subcommand's options; no flag is added or removed silently.
+OPTIONS = {
+    "aggregate": {
+        "--backend", "--batch-size", "--context", "--endpoint", "--fit-lr", "--fit-steps",
+        "--hallucination-mode", "--hallucination-offset", "--hallucination-prob", "--hidden",
+        "--log-queries", "--max-retries", "--method", "--model", "--noise-scale", "--nu",
+        "--out", "--preamble-file", "--q", "--report", "--seed", "--task-shape",
+        "--temperature", "--timeout"},
+    "sweep": {
+        "--append", "--batch-size", "--fit-lr", "--fit-steps", "--hallucination-mode",
+        "--hallucination-offset", "--hallucination-prob", "--hidden", "--noise-scale",
+        "--nu-grid", "--out", "--plot-data", "--q-grid", "--seed", "--task-shape", "--trials",
+        "--workers"},
+    "downsample-bench": {
+        "--append", "--fit-lr", "--fit-steps", "--hallucination-offset",
+        "--hallucination-prob", "--noise-scale", "--out", "--plot-data", "--q", "--seed",
+        "--seeds", "--target-len", "--workers"},
+    "gradcheck": {"--configs", "--nu", "--seed", "--tolerance"},
+    "preprocess": {"--input", "--mode", "--out", "--target-len"},
+}
+# Options that choose what runs or where output goes, not a config field.
+NOT_CONFIG = {"--method", "--context", "--out", "--report", "--append", "--plot-data"}
+
+
+def subcommand_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+class _Captured(Exception):
+    pass
+
+
+def capture_calls(monkeypatch, target):
+    """Replace ``target`` with a stub that records its arguments and stops
+    the command before any work is done."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(target, stub)
+    return calls
+
+
+def flags_in(argv):
+    return {a for a in argv if a.startswith("--")}
+
+
+class TestFlagsReachConfigs:
+    # Every flag gets a value other than its default; the configs handed
+    # to the library must carry each one.
+    FIT = ["--fit-steps", "123", "--fit-lr", "0.02", "--batch-size", "16", "--hidden", "8", "12"]
+    ORACLE = ["--task-shape", "reach", "--noise-scale", "0.001", "--hallucination-prob", "0.4",
+              "--hallucination-offset", "0.3", "--hallucination-mode", "random-walk"]
+
+    def test_option_strings_unchanged(self):
+        assert subcommand_options() == OPTIONS
+
+    def test_aggregate(self, monkeypatch, tmp_path):
+        calls = capture_calls(monkeypatch, "rip.cli.run_rip")
+        preamble = tmp_path / "preamble.txt"
+        preamble.write_text("PREAMBLE", encoding="utf-8")
+        log = str(tmp_path / "queries.jsonl")
+        argv = ["aggregate", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+                "--q", "7", "--seed", "3", "--model", "m2", "--temperature", "0.5",
+                "--timeout", "7.5", "--max-retries", "4", "--preamble-file", str(preamble),
+                "--log-queries", log, "--nu", "2.5"] + self.FIT + self.ORACLE
+        assert flags_in(argv) == OPTIONS["aggregate"] - NOT_CONFIG
+        with pytest.raises(_Captured):
+            main(argv)
+        (_context, policy, fit), _ = calls[0]
+        assert fit == FitConfig(hidden=(8, 12), nu=2.5, batch_size=16, steps=123,
+                                learning_rate=0.02, seed=3)
+        assert policy == PolicyConfig(
+            backend="remote", query_count=7,
+            synthetic=SyntheticOracleConfig(
+                seed=3, task_shape="reach", noise_scale=0.001, hallucination_prob=0.4,
+                hallucination_offset=0.3, hallucination_mode="random-walk"),
+            remote=RemoteConfig(endpoint="http://127.0.0.1:9/v1", model="m2",
+                                temperature=0.5, timeout_s=7.5, max_retries=4),
+            preamble="PREAMBLE", log_queries_path=log)
+
+    def test_sweep(self, monkeypatch):
+        calls = capture_calls(monkeypatch, "rip.bench.run_sweep")
+        argv = ["sweep", "--q-grid", "3", "7", "--nu-grid", "2.5", "inf", "--trials", "4",
+                "--seed", "9", "--workers", "3"] + self.FIT + self.ORACLE
+        assert flags_in(argv) == OPTIONS["sweep"] - NOT_CONFIG
+        with pytest.raises(_Captured):
+            main(argv)
+        (settings,), kwargs = calls[0]
+        assert kwargs == {"workers": 3}
+        assert settings == bench.SweepSettings(
+            q_values=(3, 7), nu_values=(2.5, math.inf), trials=4, master_seed=9,
+            oracle=SyntheticOracleConfig(
+                task_shape="reach", noise_scale=0.001, hallucination_prob=0.4,
+                hallucination_offset=0.3, hallucination_mode="random-walk"),
+            fit=FitConfig(hidden=(8, 12), batch_size=16, steps=123, learning_rate=0.02))
+
+    def test_downsample_bench(self, monkeypatch):
+        calls = capture_calls(monkeypatch, "rip.bench.run_downsample_bench")
+        argv = ["downsample-bench", "--seeds", "6", "--seed", "9", "--q", "7",
+                "--target-len", "25", "--workers", "3", "--noise-scale", "0.001",
+                "--hallucination-prob", "0.4", "--hallucination-offset", "0.3",
+                "--fit-steps", "123", "--fit-lr", "0.02"]
+        assert flags_in(argv) == OPTIONS["downsample-bench"] - NOT_CONFIG
+        with pytest.raises(_Captured):
+            main(argv)
+        (settings,), kwargs = calls[0]
+        assert kwargs == {"workers": 3}
+        assert settings == bench.DownsampleBenchSettings(
+            n_seeds=6, master_seed=9, target_len=25, query_count=7,
+            oracle=SyntheticOracleConfig(
+                noise_scale=0.001, hallucination_prob=0.4, hallucination_offset=0.3,
+                length_jitter=(0, 0), follow_context_demo=True),
+            fit=FitConfig(steps=123, learning_rate=0.02))

@@ -1,9 +1,11 @@
 import http.client
 import json
+import math
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -15,6 +17,7 @@ import rip
 from rip.core import Trajectory
 from rip.downsample import gripper_transitions
 from rip.errors import TransportError
+from rip.estimator import FitConfig
 from rip.policy import (
     PolicyConfig,
     RemoteConfig,
@@ -230,6 +233,37 @@ class TestRemoteClient:
         assert elapsed < 5 * delay * 0.8  # parallel issue, not serial
         assert [r.index for r in results] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("q, threads", [(10, 10), (5000, 32)])
+    def test_thread_pool_is_capped(self, monkeypatch, q, threads):
+        # The fake executor records its size and runs each query inline,
+        # so a large Q starts no threads.
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("rip.policy.ThreadPoolExecutor", InlineExecutor)
+        ctx, consensus = make_consensus_task(0, "reach")
+        reply = fake_completion(consensus)
+        client = RemotePolicyClient(remote_config(), post_fn=lambda *args: reply)
+        cfg = PolicyConfig(backend="remote", query_count=q, remote=remote_config())
+        results = sample_with_client(ctx, cfg, client)
+        assert sizes == [threads]
+        assert [r.index for r in results] == list(range(q))
+        assert all(r.ok for r in results)
+
     def test_api_key_header_from_env(self, monkeypatch):
         ctx, consensus = make_consensus_task(0, "reach")
         seen = {}
@@ -360,3 +394,22 @@ class TestConfigValidation:
             SyntheticOracleConfig(hallucination_mode="teleport")
         with pytest.raises(ValueError):
             SyntheticOracleConfig(length_jitter=(3, -3))
+
+    @pytest.mark.parametrize("make, kwargs", [
+        (FitConfig, dict(nu=math.nan)),
+        (FitConfig, dict(learning_rate=math.nan)),
+        (FitConfig, dict(learning_rate=math.inf)),
+        (SyntheticOracleConfig, dict(noise_scale=math.nan)),
+        (SyntheticOracleConfig, dict(hallucination_offset=math.inf)),
+        (RemoteConfig, dict(endpoint="x", temperature=math.nan)),
+        (RemoteConfig, dict(endpoint="x", temperature=math.inf)),
+        (RemoteConfig, dict(endpoint="x", timeout_s=-1.0)),
+        (RemoteConfig, dict(endpoint="x", timeout_s=0.0)),
+        (RemoteConfig, dict(endpoint="x", timeout_s=math.nan)),
+        (RemoteConfig, dict(endpoint="x", timeout_s=math.inf)),
+    ])
+    def test_non_finite_and_non_positive_values_rejected(self, make, kwargs):
+        # Each of these used to pass construction and fail only at run
+        # time: a non-finite gradient or action, or a failed slot per query.
+        with pytest.raises(ValueError):
+            make(**kwargs)
