@@ -27,25 +27,20 @@ from .pipeline import run_rip
 from .policy import PolicyConfig, SyntheticOracleConfig, make_consensus_task
 from .tokens import PolicyContext
 
-DEFAULT_FINAL_TOL = 0.02  # meters
-
-
-@dataclass(frozen=True)
-class SuccessSpec:
-    """Geometric success thresholds.
-
-    ``event_position_tol`` set to a distance additionally requires every
-    gripper event to occur within that distance of where the consensus
-    performs it; None checks event directions only.
-    """
-
-    final_tol: float = DEFAULT_FINAL_TOL
-    event_position_tol: float | None = None
+FINAL_TOL = 0.02  # meters
+# Length range of the full-rate demonstration the downsample bench thins.
+DEMO_LENGTH_RANGE = (260, 340)
 
 
 def task_success(candidate: Trajectory, reference: Trajectory,
-                 spec: SuccessSpec = SuccessSpec()) -> dict:
-    """Judge a candidate trajectory against the task's consensus."""
+                 event_tol: float | None = None) -> dict:
+    """Judge a candidate trajectory against the task's consensus.
+
+    The final gripper-body position must lie within ``FINAL_TOL`` of the
+    consensus's and the gripper events must match in direction. A distance
+    ``event_tol`` also requires every event to occur within that distance
+    of where the consensus performs it.
+    """
     cand_p0 = candidate.data[:, 0:3]
     ref_p0 = reference.data[:, 0:3]
     final_err = float(np.linalg.norm(cand_p0[-1] - ref_p0[-1]))
@@ -55,7 +50,7 @@ def task_success(candidate: Trajectory, reference: Trajectory,
     events_ok = [d for _, d in cand_ev] == [d for _, d in ref_ev]
 
     event_err = 0.0
-    if events_ok and spec.event_position_tol is not None and ref_ev:
+    if events_ok and event_tol is not None and ref_ev:
         # Compare where each event lands. Either side of the candidate's
         # transition may anchor it: threshold timing is only resolved to
         # one grid step, but the grasp point itself must be right.
@@ -67,9 +62,9 @@ def task_success(candidate: Trajectory, reference: Trajectory,
                 float(np.linalg.norm(cand_p0[tc + 1] - anchor)),
             ))
         event_err = max(errs)
-        events_ok = event_err <= spec.event_position_tol
+        events_ok = event_err <= event_tol
 
-    success = final_err <= spec.final_tol and events_ok
+    success = final_err <= FINAL_TOL and events_ok
     return {
         "success": bool(success),
         "final_err": final_err,
@@ -105,7 +100,6 @@ class SweepSettings:
         hallucination_offset=0.2,
     )
     fit: FitConfig = FitConfig(steps=3000)
-    success: SuccessSpec = SuccessSpec()
 
     def __post_init__(self):
         if not self.cells() or min(self.q_values) < 1:
@@ -134,7 +128,7 @@ def run_cell_trial(q: int, nu: float, seed: int, settings: SweepSettings) -> tup
     policy = PolicyConfig(backend="synthetic", query_count=q, synthetic=oracle)
     fit_cfg = replace(settings.fit, nu=nu, seed=seed)
     trajectory, _report = run_rip(context, policy, fit_cfg)
-    outcome = task_success(trajectory, consensus, settings.success)
+    outcome = task_success(trajectory, consensus)
     return outcome["success"], trajectory_rmse(trajectory, consensus)
 
 
@@ -213,8 +207,6 @@ class DownsampleBenchSettings:
     n_seeds: int = 50
     master_seed: int = 0
     target_len: int = 30
-    demo_length_range: tuple = (260, 340)
-    task_shape: str = "pick"
     query_count: int = 5
     oracle: SyntheticOracleConfig = SyntheticOracleConfig(
         noise_scale=0.003,
@@ -224,7 +216,6 @@ class DownsampleBenchSettings:
         follow_context_demo=True,
     )
     fit: FitConfig = FitConfig(steps=3000)
-    success: SuccessSpec = SuccessSpec(event_position_tol=DEFAULT_FINAL_TOL)
 
     def __post_init__(self):
         if self.n_seeds < 1 or self.query_count < 1:
@@ -237,9 +228,9 @@ def run_downsample_trial(seed: int, method: str,
     the full-rate consensus."""
     context, consensus = make_consensus_task(
         seed,
-        settings.task_shape,
+        settings.oracle.task_shape,
         n_demos=1,
-        length_range=settings.demo_length_range,
+        length_range=DEMO_LENGTH_RANGE,
         pick_profile="swoop",
         demo_drift=0.0,
         demo_wobble=0.001,
@@ -248,12 +239,12 @@ def run_downsample_trial(seed: int, method: str,
     thin = downsample if method == "g_based" else uniform_downsample
     processed = PolicyContext(((kp, thin(demo, settings.target_len)),),
                               context.query_keypoints)
-    oracle = replace(settings.oracle, seed=seed, task_shape=settings.task_shape)
+    oracle = replace(settings.oracle, seed=seed)
     policy = PolicyConfig(backend="synthetic", query_count=settings.query_count,
                           synthetic=oracle)
     fit_cfg = replace(settings.fit, seed=seed)
     trajectory, _report = run_rip(processed, policy, fit_cfg)
-    outcome = task_success(trajectory, consensus, settings.success)
+    outcome = task_success(trajectory, consensus, event_tol=FINAL_TOL)
     outcome["method"] = method
     outcome["seed"] = seed
     return outcome

@@ -54,6 +54,20 @@ def _parse_nu(text: str) -> float:
     return value
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _parse_tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for nan, which no error could exceed
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
+    return value
+
+
 # Flags that set a config field, as flag: (field, add_argument keywords).
 # They have no default of their own: a command starts from the library's
 # config and replaces the fields whose flags were given.
@@ -264,7 +278,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="success-rate grid over Q and nu")
     _add_flags(p, _SWEEP_FLAGS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_count, default=1)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--append", action="store_true", help="append rows, keep existing header")
     p.add_argument("--plot-data", help="directory for per-figure data files")
@@ -275,7 +289,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("downsample-bench",
                        help="mask-based vs uniform demonstration thinning")
     _add_flags(p, _DOWNSAMPLE_FLAGS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_count, default=1)
     p.add_argument("--out", default="downsample_bench.csv")
     p.add_argument("--append", action="store_true")
     p.add_argument("--plot-data", help="directory for per-figure data files")
@@ -285,9 +299,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the gradient")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--configs", type=int, default=20)
+    p.add_argument("--configs", type=_parse_count, default=20)
     p.add_argument("--nu", type=_parse_nu, help="restrict to one nu (or 'inf')")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_parse_tolerance, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("preprocess", help="downsample a trajectory JSON file")
@@ -343,10 +357,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (RipError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

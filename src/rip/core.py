@@ -38,43 +38,62 @@ def _as_point(value, name: str) -> tuple[float, float, float]:
     return pt
 
 
-def _checked_actions(data, ndim: int) -> np.ndarray:
-    """Validate an array of actions in one vectorised pass.
+@dataclass(frozen=True, eq=False)
+class _ActionArray:
+    """One read-only float64 array of actions, ``_NDIM`` axes deep.
 
-    ``ndim`` is 2 for a trajectory (T, 10) and 3 for a bundle (Q, T, 10).
-    Requires T >= 2, finite values and a gripper channel in {0, 1}.
-    Returns a read-only float64 copy, so the caller's array stays theirs.
+    Built from any array-like in one vectorised pass: the last axis holds
+    10 channels, the step axis before it at least two steps, every value
+    is finite and the gripper channel is 0 or 1. The array is copied, so
+    the caller's stays theirs. Equality compares values only, and never
+    holds across subclasses.
     """
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidTrajectoryError(f"actions are not a numeric array: {exc}") from exc
-    if arr.ndim != ndim or arr.shape[-1] != ACTION_DIM or arr.shape[-2] < 2 or arr.size == 0:
-        want = "(T, 10)" if ndim == 2 else "(Q, T, 10)"
-        raise InvalidTrajectoryError(f"actions must be {want} with T >= 2, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidTrajectoryError("actions have non-finite values")
-    g = arr[..., GRIPPER_CHANNEL]
-    if not ((g == 0.0) | (g == 1.0)).all():
-        raise InvalidTrajectoryError("gripper state must be 0 or 1")
-    arr.flags.writeable = False
-    return arr
+
+    data: np.ndarray
+    _NDIM = 0
+
+    def __post_init__(self):
+        try:
+            arr = np.array(self.data, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidTrajectoryError(f"actions are not a numeric array: {exc}") from exc
+        if (arr.ndim != self._NDIM or arr.shape[-1] != ACTION_DIM or arr.shape[-2] < 2
+                or arr.size == 0):
+            want = "(T, 10)" if self._NDIM == 2 else "(Q, T, 10)"
+            raise InvalidTrajectoryError(f"actions must be {want} with T >= 2, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidTrajectoryError("actions have non-finite values")
+        g = arr[..., GRIPPER_CHANNEL]
+        if not ((g == 0.0) | (g == 1.0)).all():
+            raise InvalidTrajectoryError("gripper state must be 0 or 1")
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.data, other.data)
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so they are
+        # validated and read-only too.
+        return type(self), (self.data,)
+
+    def to_array(self) -> np.ndarray:
+        """A writable copy of the array."""
+        return self.data.copy()
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_ActionArray):
     """Time-ordered sequence of at least two actions, stored as one
     read-only (T, 10) float64 array, one [p0, p1, p2, g] row per action.
 
     The array is the trajectory; ``gripper_states()`` is a view built on
-    demand. Equality compares values and ``source``.
+    demand.
     """
 
-    data: np.ndarray
-    source: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _checked_actions(self.data, 2))
+    _NDIM = 2
 
     def __len__(self) -> int:
         return len(self.data)
@@ -86,23 +105,9 @@ class Trajectory:
         arr = self.data if dtype is None else self.data.astype(dtype)
         return arr.copy() if copy else arr
 
-    def __eq__(self, other):
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return self.source == other.source and np.array_equal(self.data, other.data)
-
-    def __reduce__(self):
-        # Copies and pickles go through the constructor, so they are
-        # validated and read-only too.
-        return Trajectory, (self.data, self.source)
-
-    def to_array(self) -> np.ndarray:
-        """A writable (T, 10) copy."""
-        return self.data.copy()
-
     @classmethod
-    def from_array(cls, arr, source: str | None = None) -> "Trajectory":
-        return cls(arr, source=source)
+    def from_array(cls, arr) -> "Trajectory":
+        return cls(arr)
 
     def gripper_states(self) -> tuple[int, ...]:
         return tuple(self.data[:, GRIPPER_CHANNEL].astype(int).tolist())
@@ -132,7 +137,7 @@ class KeypointSet:
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryBundle:
+class TrajectoryBundle(_ActionArray):
     """Q candidate trajectories resampled to a common length T, stored as
     one read-only (Q, T, 10) array.
 
@@ -142,18 +147,7 @@ class TrajectoryBundle:
     directly comparable step by step.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _checked_actions(self.data, 3))
-
-    def __eq__(self, other):
-        if not isinstance(other, TrajectoryBundle):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
-
-    def __reduce__(self):
-        return TrajectoryBundle, (self.data,)
+    _NDIM = 3
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -166,10 +160,6 @@ class TrajectoryBundle:
     @property
     def length(self) -> int:
         return self.data.shape[1]
-
-    def to_array(self) -> np.ndarray:
-        """A writable (Q, T, 10) copy."""
-        return self.data.copy()
 
     def grid(self) -> np.ndarray:
         return _uniform_grid(self.length)
@@ -217,7 +207,7 @@ def resample_trajectory(trajectory: Trajectory, target_len: int) -> Trajectory:
     hold = np.searchsorted(grid_in, grid_out, side="right") - 1
     hold = np.clip(hold, 0, len(trajectory) - 1)
     out[:, GRIPPER_CHANNEL] = data[hold, GRIPPER_CHANNEL]
-    return Trajectory(out, source=trajectory.source)
+    return Trajectory(out)
 
 
 def align_bundle(trajectories, target_len: int) -> TrajectoryBundle:

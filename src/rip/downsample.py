@@ -83,7 +83,7 @@ def downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     for (a, b), n in zip(zip(masked, masked[1:]), counts):
         keep.update(_spread_indices(a, b, n))
 
-    return Trajectory(trajectory.data[sorted(keep)], source=trajectory.source)
+    return Trajectory(trajectory.data[sorted(keep)])
 
 
 def uniform_downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
@@ -96,4 +96,4 @@ def uniform_downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     if n <= target_len:
         return trajectory
     idx = np.round(np.linspace(0, n - 1, target_len)).astype(int)
-    return Trajectory(trajectory.data[idx], source=trajectory.source)
+    return Trajectory(trajectory.data[idx])

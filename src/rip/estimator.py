@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -401,12 +401,11 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
 class FitTrace:
     """Training diagnostics kept alongside a fitted estimator."""
 
-    steps: int
-    final_loss: float
-    loss_curve: list = field(default_factory=list)  # (step, full-bundle NLL) pairs
+    loss_curve: list  # (step, full-bundle NLL) pairs, the last step included
 
-    def curve_tail(self, n: int = 20) -> list:
-        return self.loss_curve[-n:]
+    @property
+    def final_loss(self) -> float:
+        return self.loss_curve[-1][1]
 
 
 def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
@@ -536,8 +535,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
                 "consider more steps", prev, tail,
             )
 
-    trace = FitTrace(steps=config.steps, final_loss=curve[-1][1], loss_curve=curve)
-    return est, trace
+    return est, FitTrace(curve)
 
 
 def fit_with_trace(bundle: TrajectoryBundle, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
@@ -564,7 +562,7 @@ def extract_mean(estimator: StudentTEstimator, grid) -> Trajectory:
         raise ValueError("trajectory extraction needs a 10-channel estimator")
     out = mu.copy()
     out[:, GRIPPER_CHANNEL] = (mu[:, GRIPPER_CHANNEL] >= 0.5).astype(float)
-    return Trajectory.from_array(out, source="aggregated")
+    return Trajectory(out)
 
 
 def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
@@ -591,6 +589,8 @@ def gradient_check(seed: int = 0, n_configs: int = 20,
                    nus=(1.25, 1.5, 3.0, math.inf), step: float = 1e-5) -> float:
     """Max per-parameter relative error between analytic and central-
     difference gradients over randomized small configurations."""
+    if n_configs < 1:
+        raise ValueError(f"the check needs at least one config, got {n_configs}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_configs):

@@ -83,7 +83,7 @@ def _aggregate(context: PolicyContext, policy: PolicyConfig, fit_cfg: FitConfig,
         decoded_count=len(decoded),
         bundle_length=bundle.length,
         final_loss=trace.final_loss,
-        loss_curve_tail=trace.curve_tail(),
+        loss_curve_tail=trace.loss_curve[-20:],
         timings={
             "sample_s": t_sample - t0,
             "align_s": t_align - t_sample,

@@ -29,6 +29,8 @@ from .errors import MalformedResponseError, TransportError
 from .tokens import PolicyContext, decode_trajectory, encode_context
 
 TASK_SHAPES = ("reach", "push", "pick")
+# Keypoints per set in a synthetic task's demonstrations and query.
+_TASK_KEYPOINTS = 10
 
 # Remote queries run concurrently, one thread per query up to this many, so
 # a large Q cannot start thousands of threads. The executor default is not
@@ -140,9 +142,9 @@ def _with_fingertips(p0: np.ndarray) -> np.ndarray:
     return np.stack([p0, p0 + _FINGER_LEFT, p0 + _FINGER_RIGHT], axis=1)
 
 
-def _trajectory_from_points(points: np.ndarray, g: np.ndarray, source: str) -> Trajectory:
+def _trajectory_from_points(points: np.ndarray, g: np.ndarray) -> Trajectory:
     """Pose triplets (T, 3, 3) and gripper flags (T,) to a trajectory."""
-    return Trajectory(np.column_stack([points.reshape(len(points), 9), g]), source=source)
+    return Trajectory(np.column_stack([points.reshape(len(points), 9), g]))
 
 
 def _consensus_path(rng: np.random.Generator, shape: str, length: int, profile: str):
@@ -203,7 +205,6 @@ def make_consensus_task(
     seed: int,
     task_shape: str,
     n_demos: int = 2,
-    n_keypoints: int = 10,
     length_range: tuple[int, int] = (20, 40),
     pick_profile: str = "dwell",
     demo_drift: float = 0.01,
@@ -222,17 +223,16 @@ def make_consensus_task(
     rng = _derive_rng(seed, TASK_SHAPES.index(task_shape))
     length = int(rng.integers(length_range[0], length_range[1] + 1))
     p0, g, anchor = _consensus_path(rng, task_shape, length, pick_profile)
-    consensus = _trajectory_from_points(_with_fingertips(p0), g, "demonstration")
+    consensus = _trajectory_from_points(_with_fingertips(p0), g)
 
     demos = []
     for _ in range(n_demos):
-        kp = _task_keypoints(rng, anchor, n_keypoints)
+        kp = _task_keypoints(rng, anchor, _TASK_KEYPOINTS)
         drift = rng.uniform(-demo_drift, demo_drift, 3) if demo_drift > 0 else np.zeros(3)
         wobble = rng.normal(0.0, demo_wobble, p0.shape) if demo_wobble > 0 else 0.0
-        demo = _trajectory_from_points(_with_fingertips(p0 + drift + wobble), g,
-                                       "demonstration")
+        demo = _trajectory_from_points(_with_fingertips(p0 + drift + wobble), g)
         demos.append((kp, demo))
-    query_kp = _task_keypoints(rng, anchor, n_keypoints)
+    query_kp = _task_keypoints(rng, anchor, _TASK_KEYPOINTS)
     return PolicyContext(demonstrations=tuple(demos), query_keypoints=query_kp), consensus
 
 
@@ -271,7 +271,7 @@ def _synthetic_sample(
             g = np.zeros(length, dtype=int)
 
     positions += rng.normal(0.0, cfg.noise_scale, positions.shape)
-    return _trajectory_from_points(positions, g, "sampled")
+    return _trajectory_from_points(positions, g)
 
 
 def _synthetic_base(context: PolicyContext, cfg: SyntheticOracleConfig) -> Trajectory:

@@ -130,4 +130,4 @@ def decode_trajectory(text: str) -> Trajectory:
         raise MalformedResponseError("gripper token must be 0 or 1")
     data = values + 0.0  # a "-0" token parses to -0.0; the integer it names has no sign
     data[:, :GRIPPER_CHANNEL] /= MM_PER_M
-    return Trajectory(data, source="sampled")
+    return Trajectory(data)

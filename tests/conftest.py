@@ -14,14 +14,14 @@ def make_action(x=0.0, y=0.0, z=0.0, g=0):
     return np.array([x, y, z, x, y + 0.035, z - 0.02, x, y - 0.035, z - 0.02, g], dtype=float)
 
 
-def line_trajectory(n, x0=0.0, x1=1.0, g=None, source=None):
+def line_trajectory(n, x0=0.0, x1=1.0, g=None):
     """Straight line in x; g is an optional per-step gripper sequence.
     Each step has the pose of make_action(x=x, g=g)."""
     arr = np.zeros((n, 10))
     arr[:, [0, 3, 6]] = np.linspace(x0, x1, n)[:, None]
     arr[:, [4, 5, 7, 8]] = (0.035, -0.02, -0.035, -0.02)
     arr[:, 9] = g if g is not None else 0
-    return Trajectory(arr, source=source)
+    return Trajectory(arr)
 
 
 def random_trajectory(rng, n=None, n_transitions=0, box=5.0):

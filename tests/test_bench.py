@@ -4,13 +4,14 @@ import pytest
 
 from conftest import line_trajectory
 
+import rip.bench
 from rip.bench import (
     CellResult,
     DownsampleBenchSettings,
-    SuccessSpec,
     SweepSettings,
     downsample_success_rates,
     run_downsample_bench,
+    run_downsample_trial,
     run_sweep,
     task_success,
     trajectory_rmse,
@@ -20,7 +21,7 @@ from rip.bench import (
     write_sweep_csv,
 )
 from rip.estimator import FitConfig
-from rip.policy import SyntheticOracleConfig
+from rip.policy import SyntheticOracleConfig, make_consensus_task
 
 
 def gripper_line(n, close_at):
@@ -50,16 +51,15 @@ class TestTaskSuccess:
         ref = gripper_line(21, 10)          # close at x = 10/20 = 0.5
         good = gripper_line(21, 10)
         late = gripper_line(21, 16)         # close at x = 0.8, 0.3 away
-        spec = SuccessSpec(event_position_tol=0.02)
-        assert task_success(good, ref, spec)["success"]
-        out = task_success(late, ref, spec)
+        assert task_success(good, ref, event_tol=0.02)["success"]
+        out = task_success(late, ref, event_tol=0.02)
         assert not out["success"]
         assert out["event_err"] > 0.02
 
     def test_direction_only_by_default(self):
         ref = gripper_line(21, 10)
         late = gripper_line(21, 16)
-        assert task_success(late, ref)["success"]  # directions match, default spec
+        assert task_success(late, ref)["success"]  # directions match, no event_tol
 
 
 class TestRmse:
@@ -181,14 +181,32 @@ class TestDownsampleBench:
         # two downsamplers see the same task; both should succeed.
         settings = DownsampleBenchSettings(
             n_seeds=3,
-            task_shape="reach",
             fit=FitConfig(steps=800),
-            oracle=SyntheticOracleConfig(noise_scale=0.002, hallucination_prob=0.0,
-                                         length_jitter=(0, 0), follow_context_demo=True),
+            oracle=SyntheticOracleConfig(task_shape="reach", noise_scale=0.002,
+                                         hallucination_prob=0.0, length_jitter=(0, 0),
+                                         follow_context_demo=True),
         )
         rows = run_downsample_bench(settings)
         rates = downsample_success_rates(rows)
         assert abs(rates["g_based"] - rates["uniform"]) <= 0.34
+
+    def test_task_comes_from_the_oracle(self, monkeypatch):
+        # The oracle's task shape is the only one: the trial builds that task.
+        shapes = []
+
+        def spy(seed, task_shape, **kw):
+            shapes.append(task_shape)
+            return make_consensus_task(seed, task_shape, **kw)
+
+        monkeypatch.setattr(rip.bench, "make_consensus_task", spy)
+        settings = DownsampleBenchSettings(
+            n_seeds=1,
+            fit=FitConfig(steps=10),
+            oracle=SyntheticOracleConfig(task_shape="reach", length_jitter=(0, 0),
+                                         follow_context_demo=True),
+        )
+        run_downsample_trial(0, "g_based", settings)
+        assert shapes == ["reach"]
 
 
 @pytest.mark.parametrize("make, kwargs", [

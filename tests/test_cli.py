@@ -169,6 +169,9 @@ class TestParser:
         aggregate = ["aggregate", "--report", str(tmp_path / "report")] + out
         remote = aggregate + ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1"]
         sweep, downsample = ["sweep"] + out, ["downsample-bench"] + out
+        # Small runs, so a --workers value that slipped through ends fast.
+        tiny_sweep = sweep + ["--q-grid", "1", "--trials", "1", "--fit-steps", "1"]
+        tiny_downsample = downsample + ["--seeds", "1", "--fit-steps", "1"]
         cases = [
             (aggregate, "q", "many"),
             (aggregate, "q", 0),
@@ -192,6 +195,14 @@ class TestParser:
             (downsample, "seeds", 0),
             (downsample, "noise_scale", "nan"),
             (["gradcheck"], "nu", ""),
+            (["gradcheck"], "configs", 0),
+            (["gradcheck"], "configs", -2),
+            (["gradcheck"], "tolerance", "nan"),
+            (["gradcheck"], "tolerance", "inf"),
+            (["gradcheck"], "tolerance", 0),
+            (tiny_sweep, "workers", -3),
+            (tiny_sweep, "workers", 0),
+            (tiny_downsample, "workers", -3),
         ]
         failed = []
         for i, (argv, key, value) in enumerate(cases):

@@ -75,6 +75,14 @@ class TestTrajectory:
                 with pytest.raises(ValueError):
                     clone.data[0, 0] = 1.0
 
+    def test_equality_is_by_value_within_one_type(self, rng):
+        tr = random_trajectory(rng, n=6)
+        bumped = tr.to_array()
+        bumped[0, 0] += 1e-9
+        assert Trajectory(bumped) != tr
+        bundle = TrajectoryBundle([tr])
+        assert tr != bundle and bundle != tr
+
 
 # Constructors called directly with bad values raise only the library's
 # error, as the JSON boundary does.

@@ -207,6 +207,11 @@ class TestLossGradient:
     def test_builtin_checker_is_tight(self):
         assert gradient_check(seed=0, n_configs=6) <= 1e-4
 
+    def test_builtin_checker_needs_a_config(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError):
+                gradient_check(n_configs=n)
+
 
 @pytest.fixture(scope="module")
 def outlier_fits():

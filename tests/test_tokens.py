@@ -85,6 +85,17 @@ class TestDecode:
             assert err.max() <= 5e-4 + 1e-12
             assert back.gripper_states() == tr.gripper_states()
 
+    def test_decode_equals_encoded_trajectory_on_the_mm_grid(self, rng):
+        # Equality is by value: a decoded sample equals the trajectory it
+        # encodes when every coordinate is a whole number of millimetres.
+        for _ in range(20):
+            tr = random_trajectory(rng, n=int(rng.integers(2, 40)),
+                                   n_transitions=int(rng.integers(0, 3)))
+            data = tr.to_array()
+            data[:, :9] = np.round(data[:, :9] * 1000.0) / 1000.0
+            on_grid = Trajectory(data)
+            assert decode_trajectory(encode_action_block(on_grid)) == on_grid
+
     def test_prose_is_ignored(self):
         tr = line_trajectory(3, x0=0.1, x1=0.3)
         text = "Sure, here is the trajectory you asked for:\n" \
