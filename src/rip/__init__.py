@@ -11,7 +11,6 @@ from .core import (
     Trajectory,
     TrajectoryBundle,
     align_bundle,
-    normalize_time,
     resample_trajectory,
 )
 from .downsample import downsample, mask_key_steps, uniform_downsample
@@ -78,7 +77,6 @@ __all__ = [
     "log_gamma",
     "make_consensus_task",
     "mask_key_steps",
-    "normalize_time",
     "resample_trajectory",
     "run_rip",
     "run_rip_gauss",

@@ -47,25 +47,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_nu(text: str) -> float:
-    value = float(text)  # also reads 'inf' and 'infinity'
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"nu must be positive or 'inf', got {text}")
-    return value
+def _checked(kind, ok, rule: str):
+    """A ``type=`` parser: ``kind(text)``, which must pass ``ok``. Text that
+    does not parse gets the ``rule`` message too; on a bare ValueError,
+    argparse would print the parser's private name."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return parse
 
 
-def _parse_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _parse_tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # also false for nan, which no error could exceed
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
-    return value
+# float() also reads 'inf' and 'infinity'; nan fails every comparison, so
+# it is no nu and no tolerance (no error could exceed it).
+_parse_nu = _checked(float, lambda v: v > 0, "nu must be a positive number or 'inf'")
+_parse_count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_parse_tolerance = _checked(float, lambda v: 0 < v < math.inf,
+                            "tolerance must be a finite positive number")
 
 
 # Flags that set a config field, as flag: (field, add_argument keywords).

@@ -150,10 +150,6 @@ class TrajectoryBundle(_ActionArray):
     _NDIM = 3
 
     @property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        return tuple(Trajectory(tr) for tr in self.data)
-
-    @property
     def query_count(self) -> int:
         return self.data.shape[0]
 
@@ -165,19 +161,9 @@ class TrajectoryBundle(_ActionArray):
         return _uniform_grid(self.length)
 
 
-def normalize_time(trajectory: Trajectory) -> np.ndarray:
-    """Map step indices of a trajectory onto the uniform grid {(t-1)/(T-1)}.
-
-    The first step lands on 0 and the last on 1 regardless of episode
-    length, which is what makes differently sized samples comparable.
-    """
-    n = len(trajectory)
-    return _uniform_grid(n)
-
-
 def _uniform_grid(n: int) -> np.ndarray:
-    if n < 2:
-        raise InvalidTrajectoryError(f"cannot normalize a trajectory of length {n}")
+    # Every caller has n >= 2: the first step lands on 0 and the last on 1
+    # whatever the length, which makes samples of different lengths comparable.
     return np.arange(n, dtype=float) / (n - 1)
 
 

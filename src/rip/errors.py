@@ -22,7 +22,7 @@ class MalformedResponseError(RipError):
 
 
 class TransportError(RipError):
-    """A remote query failed after exhausting retries.
+    """No remote query decoded, and at least one failed on the wire.
 
     Carries the per-query status list so callers can report which slots failed.
     """

@@ -1,8 +1,8 @@
 """End-to-end aggregation: sample Q candidates, align, fit, extract.
 
-``run_rip`` is the full robust path; ``run_rip_gauss`` is the ablation
-that swaps the heavy-tailed likelihood for a Gaussian (everything else
-identical); ``single_sample`` is the no-aggregation baseline of one raw
+``run_rip`` is the full robust path; ``run_rip_gauss`` is the same call
+with ``nu=inf``, the ablation that swaps the heavy-tailed likelihood for a
+Gaussian; ``single_sample`` is the no-aggregation baseline of one raw
 policy query. Each aggregating run produces a RunReport so benchmark runs
 are auditable and replayable.
 """
@@ -45,18 +45,17 @@ class RunReport:
     timings: dict
     config_echo: dict = field(default_factory=dict)
 
-    def status_counts(self) -> dict:
-        counts: dict[str, int] = {}
-        for s in self.sample_status:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
-
     def to_dict(self) -> dict:
         return _jsonable(asdict(self))
 
 
-def _aggregate(context: PolicyContext, policy: PolicyConfig, fit_cfg: FitConfig,
-               method: str) -> tuple[Trajectory, RunReport]:
+def run_rip(context: PolicyContext, policy: PolicyConfig,
+            fit_cfg: FitConfig) -> tuple[Trajectory, RunReport]:
+    """Robust aggregation: Q samples, t-likelihood fit, mean extraction.
+
+    The fit's nu alone selects the likelihood: with ``nu=inf`` this is the
+    Gaussian ablation, and the report says ``rip_gauss``.
+    """
     t0 = time.perf_counter()
     samples = sample_trajectories(context, policy)
     t_sample = time.perf_counter()
@@ -77,7 +76,7 @@ def _aggregate(context: PolicyContext, policy: PolicyConfig, fit_cfg: FitConfig,
     t_extract = time.perf_counter()
 
     report = RunReport(
-        method=method,
+        method="rip_gauss" if math.isinf(fit_cfg.nu) else "rip",
         query_count=policy.query_count,
         sample_status=[s.status for s in samples],
         decoded_count=len(decoded),
@@ -96,16 +95,10 @@ def _aggregate(context: PolicyContext, policy: PolicyConfig, fit_cfg: FitConfig,
     return trajectory, report
 
 
-def run_rip(context: PolicyContext, policy: PolicyConfig,
-            fit_cfg: FitConfig) -> tuple[Trajectory, RunReport]:
-    """Robust aggregation: Q samples, t-likelihood fit, mean extraction."""
-    return _aggregate(context, policy, fit_cfg, method="rip")
-
-
 def run_rip_gauss(context: PolicyContext, policy: PolicyConfig,
                   fit_cfg: FitConfig) -> tuple[Trajectory, RunReport]:
-    """Gaussian ablation: identical pipeline with the tails turned off."""
-    return _aggregate(context, policy, fit_cfg.gaussian(), method="rip_gauss")
+    """Gaussian ablation: ``run_rip`` with the tails turned off (nu=inf)."""
+    return run_rip(context, policy, fit_cfg.gaussian())
 
 
 def single_sample(context: PolicyContext, policy: PolicyConfig) -> Trajectory:

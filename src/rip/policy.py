@@ -18,6 +18,7 @@ import math
 import os
 import threading
 import time
+import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -365,6 +366,11 @@ class RemotePolicyClient:
                 last_error = str(exc)
                 self._log(index, attempts, body, response=None, error=last_error)
                 status = "transport-error"
+                # A 4xx other than 408 (timeout) or 429 (rate limit) would
+                # be refused again, so it ends the slot.
+                if (isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500
+                        and exc.code not in (408, 429)):
+                    break
         return SampleResult(index, None, status, detail=last_error, attempts=attempts)
 
     def _log(self, index, attempt, body, response, error):
@@ -386,9 +392,11 @@ def sample_trajectories(context: PolicyContext, config: PolicyConfig) -> list[Sa
     """Query the policy Q times and return exactly Q result slots.
 
     Remote queries run concurrently with one shared prompt and are
-    reassembled in query order. Raises TransportError if any query died
-    on the wire after retries; undecodable slots come back as failure
-    markers, even when every slot failed.
+    reassembled in query order. A query that died on the wire is one
+    failed slot, like an undecodable one, and the caller aggregates what
+    decoded. Raises TransportError only when no slot decoded and at least
+    one died on the wire; when every slot is merely undecodable, the
+    failure markers come back.
     """
     q = config.query_count
     if config.backend == "synthetic":
@@ -417,7 +425,7 @@ def sample_with_client(
         futures = [pool.submit(client.query_one, prompt, i) for i in range(q)]
         results = [f.result() for f in futures]
     statuses = [r.status for r in results]
-    if any(s == "transport-error" for s in statuses):
+    if "ok" not in statuses and "transport-error" in statuses:
         raise TransportError(
             f"{statuses.count('transport-error')} of {q} queries failed on the wire",
             statuses=statuses,

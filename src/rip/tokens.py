@@ -23,6 +23,8 @@ from .errors import CoordinateRangeError, InvalidTrajectoryError, MalformedRespo
 # Quantization overflow guard: 10 m at 1 mm resolution stays within 5 digits.
 MAX_COORDINATE_M = 10.0
 MM_PER_M = 1000.0
+# Longest action block decoded; a longer run of action lines is malformed.
+MAX_ACTION_LINES = 10_000
 
 # One action line: exactly 10 whitespace-separated ASCII integers.
 _ACTION_LINE = re.compile(r"\s*(?:[+-]?[0-9]+\s+){9}[+-]?[0-9]+\s*")
@@ -100,13 +102,17 @@ def decode_trajectory(text: str) -> Trajectory:
 
     A well-formed block is a run of at least two consecutive lines of
     exactly 10 ASCII integers each. Raises MalformedResponseError when no
-    block exists, a coordinate lies outside the encodable range of
-    +-MAX_COORDINATE_M, or a gripper token is outside {0, 1}.
+    block exists, the block runs past MAX_ACTION_LINES lines, a coordinate
+    lies outside the encodable range of +-MAX_COORDINATE_M, or a gripper
+    token is outside {0, 1}.
     """
     block: list[str] = []
     for line in text.splitlines():
         if _ACTION_LINE.fullmatch(line):
             block.append(line)
+            if len(block) > MAX_ACTION_LINES:
+                raise MalformedResponseError(
+                    f"action block longer than {MAX_ACTION_LINES} lines")
         elif len(block) >= 2:
             break
         else:

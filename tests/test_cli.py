@@ -28,14 +28,22 @@ class TestAggregate:
         assert run(["aggregate", "--q", "0", "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
 
     def test_rip_gauss_alias(self, tmp_path):
+        # The ablation is nu = inf: same trajectory bytes, same report but
+        # for the wall-clock timings and the output path.
         base = ["--backend", "synthetic", "--seed", "3", "--q", "4",
                 "--fit-steps", "600", "--noise-scale", "0.003"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
+        ra, rb = tmp_path / "ra.json", tmp_path / "rb.json"
         assert run(["aggregate", "--method", "rip_gauss", "--out", str(a),
-                    "--report", str(tmp_path / "ra.json")] + base) == EXIT_OK
+                    "--report", str(ra)] + base) == EXIT_OK
         assert run(["aggregate", "--method", "rip", "--nu", "inf", "--out", str(b),
-                    "--report", str(tmp_path / "rb.json")] + base) == EXIT_OK
+                    "--report", str(rb)] + base) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        reports = [json.loads(r.read_text()) for r in (ra, rb)]
+        for r in reports:
+            del r["timings"], r["output_trajectory_path"]
+        assert reports[0] == reports[1]
+        assert reports[0]["method"] == "rip_gauss"
 
     def test_single_sample_method(self, tmp_path):
         out = tmp_path / "s.json"
@@ -162,9 +170,10 @@ class TestParser:
     def test_unknown_command_is_usage_error(self):
         assert run(["fly-to-the-moon"]) == EXIT_USAGE
 
-    def test_bad_flag_value_is_usage_error(self, tmp_path):
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys):
         # Values refused by argparse and values refused by a config exit
-        # alike, whether they come from a flag or from --config.
+        # alike, whether they come from a flag or from --config, and the
+        # message never names a private parser.
         out = ["--out", str(tmp_path / "out")]
         aggregate = ["aggregate", "--report", str(tmp_path / "report")] + out
         remote = aggregate + ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1"]
@@ -197,12 +206,15 @@ class TestParser:
             (["gradcheck"], "nu", ""),
             (["gradcheck"], "configs", 0),
             (["gradcheck"], "configs", -2),
+            (["gradcheck"], "configs", "abc"),
             (["gradcheck"], "tolerance", "nan"),
             (["gradcheck"], "tolerance", "inf"),
             (["gradcheck"], "tolerance", 0),
+            (["gradcheck"], "tolerance", "abc"),
             (tiny_sweep, "workers", -3),
             (tiny_sweep, "workers", 0),
             (tiny_downsample, "workers", -3),
+            (tiny_downsample, "workers", "abc"),
         ]
         failed = []
         for i, (argv, key, value) in enumerate(cases):
@@ -214,6 +226,7 @@ class TestParser:
                 if run(full) != EXIT_USAGE:
                     failed.append(full)
         assert failed == []
+        assert "_parse" not in capsys.readouterr().err
 
 
 # Each subcommand's options; no flag is added or removed silently.

@@ -9,7 +9,6 @@ from rip.core import (
     Trajectory,
     TrajectoryBundle,
     align_bundle,
-    normalize_time,
     resample_trajectory,
 )
 from rip.errors import InvalidTrajectoryError
@@ -100,15 +99,20 @@ def test_constructor_raises_invalid_trajectory(build):
         build()
 
 
+def grid_of(trajectory):
+    """The normalized-time grid of a trajectory's own length."""
+    return align_bundle([trajectory], len(trajectory)).grid()
+
+
 class TestNormalizeTime:
     def test_two_steps_hits_endpoints(self):
-        assert normalize_time(line_trajectory(2)).tolist() == [0.0, 1.0]
+        assert grid_of(line_trajectory(2)).tolist() == [0.0, 1.0]
 
     def test_five_steps_uniform(self):
-        assert normalize_time(line_trajectory(5)).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert grid_of(line_trajectory(5)).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_three_steps_uniform(self):
-        assert normalize_time(line_trajectory(3)).tolist() == [0.0, 0.5, 1.0]
+        assert grid_of(line_trajectory(3)).tolist() == [0.0, 0.5, 1.0]
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidTrajectoryError):
@@ -116,7 +120,7 @@ class TestNormalizeTime:
 
     def test_strictly_increasing(self, rng):
         for _ in range(20):
-            grid = normalize_time(random_trajectory(rng))
+            grid = grid_of(random_trajectory(rng))
             assert np.all(np.diff(grid) > 0)
 
 
@@ -124,9 +128,9 @@ class TestAlignBundle:
     def test_constant_trajectories_stay_constant(self):
         trajs = [line_trajectory(n, x0=0.3, x1=0.3) for n in (7, 13, 29)]
         bundle = align_bundle(trajs, 11)
-        for tr in bundle.trajectories:
-            assert len(tr) == 11
-            assert tr.data[:, 0] == pytest.approx([0.3] * 11)
+        assert bundle.length == 11
+        for row in bundle.data:
+            assert row[:, 0] == pytest.approx([0.3] * 11)
 
     def test_linear_ramp_interpolates_midpoint(self):
         bundle = align_bundle([line_trajectory(11, x0=0.0, x1=1.0)], 3)
@@ -136,32 +140,32 @@ class TestAlignBundle:
         t20 = random_trajectory(rng, n=20)
         t30 = random_trajectory(rng, n=30)
         bundle = align_bundle([t20, t30], 30)
-        assert all(len(tr) == 30 for tr in bundle.trajectories)
+        assert bundle.length == 30
         np.testing.assert_array_equal(bundle.data[0, [0, -1]], t20.data[[0, -1]])
         np.testing.assert_array_equal(bundle.data[1, [0, -1]], t30.data[[0, -1]])
 
     def test_idempotent(self, rng):
         trajs = [random_trajectory(rng, n=n) for n in (12, 25, 31)]
         once = align_bundle(trajs, 31)
-        twice = align_bundle(once.trajectories, 31)
+        twice = align_bundle(map(Trajectory, once.data), 31)
         assert once == twice
 
     def test_endpoint_preservation(self, rng):
         for _ in range(10):
             tr = random_trajectory(rng)
-            out = align_bundle([tr], 17).trajectories[0]
-            np.testing.assert_array_equal(out.data[[0, -1]], tr.data[[0, -1]])
+            out = align_bundle([tr], 17).data[0]
+            np.testing.assert_array_equal(out[[0, -1]], tr.data[[0, -1]])
 
     def test_gripper_values_come_from_source(self, rng):
         for _ in range(10):
             tr = random_trajectory(rng, n=40, n_transitions=3)
-            out = align_bundle([tr], 23).trajectories[0]
-            assert set(out.gripper_states()) <= set(tr.gripper_states())
+            out = align_bundle([tr], 23).data[0]
+            assert set(out[:, 9]) <= set(tr.data[:, 9])
 
     def test_gripper_never_fractional(self):
         g = [0] * 10 + [1] * 10
-        out = align_bundle([line_trajectory(20, g=g)], 7).trajectories[0]
-        assert set(out.gripper_states()) <= {0, 1}
+        out = align_bundle([line_trajectory(20, g=g)], 7).data[0]
+        assert set(out[:, 9]) <= {0, 1}
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidTrajectoryError):
@@ -188,7 +192,7 @@ class TestBundleInvariants:
         a = random_trajectory(rng, n=7)
         bundle = TrajectoryBundle(np.stack([a.data, a.data]))
         for b in (bundle, copy.copy(bundle), pickle.loads(pickle.dumps(bundle))):
-            np.testing.assert_array_equal(b.grid(), normalize_time(a))
+            np.testing.assert_array_equal(b.grid(), np.arange(7) / 6)
 
 
 class TestResample:

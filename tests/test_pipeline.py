@@ -1,4 +1,6 @@
 import math
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from rip.policy import (
     SyntheticOracleConfig,
     make_consensus_task,
 )
+from rip.tokens import encode_action_block
 
 
 def oracle(seed, shape="pick", **kw):
@@ -52,7 +55,7 @@ class TestRip:
     def test_status_counts_sum_to_q(self):
         ctx, _ = make_consensus_task(3, "push")
         _, report = run_rip(ctx, policy(3, q=7, shape="push"), replace(FIT, seed=3))
-        assert sum(report.status_counts().values()) == 7
+        assert Counter(report.sample_status) == {"ok": 7}
         assert len(report.sample_status) == 7
 
     def test_single_query_degenerates_to_the_sample(self):
@@ -110,6 +113,27 @@ class TestRip:
         with pytest.raises(PipelineError):
             run_rip(ctx, PolicyConfig(backend="remote", query_count=3, remote=remote), FIT)
 
+    def test_transport_error_is_one_failed_slot(self, monkeypatch):
+        ctx, consensus = make_consensus_task(6, "reach")
+        reply = {"completion": encode_action_block(consensus)}
+        calls = []
+        lock = threading.Lock()
+
+        def first_call_dies(url, body, timeout, headers):
+            with lock:
+                calls.append(url)
+                if len(calls) == 1:
+                    raise OSError("connection reset")
+            return reply
+
+        monkeypatch.setattr(rip.policy, "_default_post", first_call_dies)
+        remote = RemoteConfig(endpoint="https://policy.example/v1/complete", max_retries=0)
+        pol = PolicyConfig(backend="remote", query_count=4, remote=remote)
+        traj, report = run_rip(ctx, pol, replace(FIT, steps=200))
+        assert Counter(report.sample_status) == {"ok": 3, "transport-error": 1}
+        assert report.decoded_count == 3
+        assert len(traj) == len(consensus)
+
     def test_failed_slots_shrink_bundle_but_not_report(self, monkeypatch):
         ctx, consensus = make_consensus_task(7, "reach")
         real = rip.pipeline.sample_trajectories
@@ -135,12 +159,18 @@ class TestRipGauss:
         assert err.max() <= 1e-2
 
     def test_alias_contract(self):
-        # rip with nu=inf and rip_gauss must produce the same trajectory.
+        # rip with nu=inf and rip_gauss must produce the same trajectory,
+        # and the same report once the wall-clock timings are dropped.
         ctx, _ = make_consensus_task(9, "pick")
         pol = policy(9, noise_scale=0.004)
-        via_alias, _ = run_rip(ctx, pol, replace(FIT, seed=9, nu=math.inf))
-        via_method, _ = run_rip_gauss(ctx, pol, replace(FIT, seed=9))
+        via_alias, alias_report = run_rip(ctx, pol, replace(FIT, seed=9, nu=math.inf))
+        via_method, method_report = run_rip_gauss(ctx, pol, replace(FIT, seed=9))
         assert via_alias == via_method
+        reports = [r.to_dict() for r in (alias_report, method_report)]
+        for r in reports:
+            r.pop("timings")
+        assert reports[0] == reports[1]
+        assert reports[0]["method"] == "rip_gauss"
 
     def test_pulled_by_outlier_weight(self):
         ctx, consensus = make_consensus_task(10, "reach")

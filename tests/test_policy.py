@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -217,6 +218,25 @@ class TestRemoteClient:
             sample_with_client(ctx, cfg, client)
         assert err.value.statuses == ["transport-error"] * 3
 
+    def test_transport_failure_is_one_failed_slot(self):
+        # The first query dies on the wire; the other three decode.
+        ctx, consensus = make_consensus_task(0, "reach")
+        calls = []
+        lock = threading.Lock()
+
+        def post(url, body, timeout, headers):
+            with lock:
+                calls.append(url)
+                if len(calls) == 1:
+                    raise OSError("connection reset")
+            return fake_completion(consensus)
+
+        client = RemotePolicyClient(remote_config(max_retries=0), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=4, remote=remote_config())
+        results = sample_with_client(ctx, cfg, client)
+        assert Counter(r.status for r in results) == {"ok": 3, "transport-error": 1}
+        assert sum(r.ok for r in results) == 3
+
     def test_queries_run_concurrently_and_stay_ordered(self):
         ctx, consensus = make_consensus_task(0, "reach")
         delay = 0.15
@@ -311,6 +331,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.hits[self.path] += 1
         status, body, length = self.server.replies[self.path]
         self.send_response(status)
         self.send_header("Content-Length", str(length))
@@ -328,6 +349,7 @@ def loopback(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.replies = {}
+    server.hits = Counter()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -338,10 +360,10 @@ def loopback(monkeypatch):
 class TestDefaultPost:
     """The stdlib transport, against a real loopback server."""
 
-    def query(self, server, path, status, body, length=None):
+    def query(self, server, path, status, body, length=None, max_retries=0):
         server.replies[path] = (status, body, len(body) if length is None else length)
         host, port = server.server_address
-        cfg = remote_config(endpoint=f"http://{host}:{port}{path}", max_retries=0)
+        cfg = remote_config(endpoint=f"http://{host}:{port}{path}", max_retries=max_retries)
         return RemotePolicyClient(cfg).query_one("prompt", 0)
 
     def test_ok_reply_decodes(self, loopback):
@@ -356,6 +378,15 @@ class TestDefaultPost:
         result = self.query(loopback, "/bad", status, body)
         assert result.status == "transport-error"
         assert result.trajectory is None
+
+    @pytest.mark.parametrize("status, hits", [(404, 1), (400, 1), (429, 3), (408, 3),
+                                              (503, 3)])
+    def test_a_refusing_4xx_is_not_retried(self, loopback, status, hits):
+        # 408 and 429 say "try again"; any other 4xx would be refused again.
+        result = self.query(loopback, "/refuse", status, b"{}", max_retries=2)
+        assert result.status == "transport-error"
+        assert result.attempts == hits
+        assert loopback.hits["/refuse"] == hits
 
     def test_truncated_body_is_a_failed_slot(self, loopback):
         # The reply declares more bytes than it sends, so the read raises

@@ -7,6 +7,7 @@ from conftest import keypoints, line_trajectory, make_action, random_trajectory
 from rip.core import Trajectory
 from rip.errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
 from rip.tokens import (
+    MAX_ACTION_LINES,
     MAX_COORDINATE_M,
     PolicyContext,
     decode_trajectory,
@@ -154,11 +155,13 @@ class TestDecodeUntrusted:
     @given(_response)
     @example("\n".join(["1" * 400 + " 0 0 0 0 0 0 0 0 0"] * 2))
     @example("99999 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1")
+    @example("\n".join(["0 0 0 0 0 0 0 0 0 0"] * (MAX_ACTION_LINES + 1)))
     def test_decodes_in_range_or_is_malformed(self, text):
         try:
             back = decode_trajectory(text)
         except MalformedResponseError:
             return
+        assert len(back) <= MAX_ACTION_LINES
         arr = back.to_array()
         assert np.abs(arr[:, :9]).max() <= MAX_COORDINATE_M
         assert set(arr[:, 9].tolist()) <= {0.0, 1.0}
@@ -170,6 +173,12 @@ class TestDecodeUntrusted:
         assert not np.signbit(edge.to_array()[1, 1])  # "-00" names the integer 0
         with pytest.raises(MalformedResponseError):
             decode_trajectory("10001 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1")
+
+    def test_line_cap(self):
+        line = "1 2 3 4 5 6 7 8 9 0"
+        assert len(decode_trajectory("\n".join([line] * MAX_ACTION_LINES))) == MAX_ACTION_LINES
+        with pytest.raises(MalformedResponseError, match="longer than"):
+            decode_trajectory("\n".join([line] * (MAX_ACTION_LINES + 1)) + "\nthat is all")
 
 
 class TestInjectivity:
