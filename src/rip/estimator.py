@@ -15,6 +15,10 @@ bundles in both precisions give the same gripper steps and means within a
 few millimetres), and float32 doubles the values each vector instruction
 of a step handles. Everything outside the training loop is float64: the
 fitted estimator, its evaluation and serialization, and the logged loss.
+Each training step writes into buffers allocated once per fit, and the
+full-bundle loss is evaluated only at the last points of the log schedule,
+the ones the fit's trace keeps (see ``FitTrace``).
+
 The analytic gradient runs the training step's own gradient function in
 float64, so the finite-difference check in the bench CLI and tests
 audits the code that trains, at full precision.
@@ -82,16 +86,43 @@ def _t_log_norm(nu: float) -> float:
     return log_gamma((nu + 1.0) / 2.0) - log_gamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
 
 
-def _nll_partials(x, mu, var, nu: float, weight: float = 1.0):
-    """d(-log pdf)/d mu and d(-log pdf)/d var, elementwise, times ``weight``."""
-    r = x - mu
+def _nll_partials(x, mu, var, nu: float, weight: float = 1.0, out=None, work=None):
+    """d(-log pdf)/d mu and d(-log pdf)/d var, elementwise, times ``weight``.
+
+    Computes, one operation at a time and in this order,
+        dmu  = (-(nu + 1) w) r / (nu var + r r)
+        dvar = (w / 2) / var - ((nu + 1) / 2 w) r r / (var (nu var + r r))
+    with r = x - mu, or the Gaussian forms (-w) r / var and
+    (w / 2) / var - (w / 2) r r / (var var). ``out`` (2, ...) receives the
+    two partials and ``work`` (2, ...) holds temporaries; either is allocated
+    when not given.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(mu), np.shape(var))
+        out = np.empty((2, *shape), np.result_type(x, mu, var))
+    if work is None:
+        work = np.empty_like(out)
+    dmu, dvar = out
+    r, tmp = work
+    np.subtract(x, mu, out=r)
     if math.isinf(nu):
-        dmu = (-weight) * r / var
-        dvar = (0.5 * weight) / var - (0.5 * weight) * r * r / (var * var)
+        np.multiply(r, -weight, out=dmu)
+        dmu /= var
+        np.multiply(r, 0.5 * weight, out=dvar)
+        dvar *= r
+        np.multiply(var, var, out=tmp)
     else:
-        denom = nu * var + r * r
-        dmu = (-(nu + 1.0) * weight) * r / denom
-        dvar = (0.5 * weight) / var - ((nu + 1.0) / 2.0 * weight) * r * r / (var * denom)
+        denom = np.multiply(var, nu, out=tmp)
+        np.multiply(r, r, out=dvar)
+        denom += dvar
+        np.multiply(r, -(nu + 1.0) * weight, out=dmu)
+        dmu /= denom
+        np.multiply(r, (nu + 1.0) / 2.0 * weight, out=dvar)
+        dvar *= r
+        np.multiply(var, denom, out=tmp)
+    dvar /= tmp
+    np.divide(0.5 * weight, var, out=tmp)
+    np.subtract(tmp, dvar, out=dvar)
     return dmu, dvar
 
 
@@ -109,10 +140,16 @@ def time_features(t) -> np.ndarray:
     return out
 
 
-def _softplus(x):
-    # log(1 + e^x) without overflow; the same formula np.logaddexp(0, x)
-    # uses, in fewer passes.
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _softplus(x, out=None, work=None):
+    # log(1 + e^x) without overflow, as max(x, 0) + log1p(exp(-|x|)): the
+    # same formula np.logaddexp(0, x) uses, in fewer passes. ``out`` and
+    # the temporary ``work`` have x's shape; each is allocated if not given.
+    out = np.maximum(x, 0.0, out=out)
+    work = np.copysign(x, -1.0, out=work)  # -|x|, in one pass
+    np.exp(work, out=work)
+    np.log1p(work, out=work)
+    out += work
+    return out
 
 
 def _softplus_inv(y):
@@ -241,8 +278,10 @@ def _flat_params(hidden, n_channels, theta=None):
     then the bias as the last row. Training runs both heads with one call
     per layer, and a ones column on the input features folds the first
     layer's bias into its matmul. Returns the buffer (new zeros unless
-    ``theta`` is given), the per-key views (``params``) and the three
-    layer stacks, all views of the buffer.
+    ``theta`` is given), the per-key views (``params``) and the layers:
+    the first layer's whole stack, then a (weights, bias) pair for each
+    of the other two, all views of the buffer, made once so a training
+    step slices nothing.
     """
     h1, h2 = hidden
     fans = ((FEATURE_DIM, h1), (h1, h2), (h2, n_channels))
@@ -256,7 +295,7 @@ def _flat_params(hidden, n_channels, theta=None):
     for k, (n_in, n_out) in enumerate(fans, start=1):
         size = 2 * (n_in + 1) * n_out
         layer = theta[offset:offset + size].reshape(2, n_in + 1, n_out)
-        layers.append(layer)
+        layers.append(layer if k == 1 else (layer[:, :n_in], layer[:, n_in:]))
         for i, head in enumerate(("mu", "s")):
             params[f"{head}_W{k}"] = layer[i, :n_in]
             params[f"{head}_b{k}"] = layer[i, n_in]
@@ -270,35 +309,51 @@ def _forward(layers, X1, h1=None, h2=None, out=None):
     Returns the hidden activations and the output, each (2, N, .) with
     the mu head first; passing the buffers makes it allocation-free.
     """
-    L1, L2, L3 = layers
-    n_h1, n_h2 = L2.shape[1] - 1, L3.shape[1] - 1
+    L1, (W2, b2), (W3, b3) = layers
     h1 = np.matmul(X1, L1, out=h1)
     np.tanh(h1, out=h1)
-    h2 = np.matmul(h1, L2[:, :n_h1], out=h2)
-    h2 += L2[:, n_h1:]
+    h2 = np.matmul(h1, W2, out=h2)
+    h2 += b2
     np.tanh(h2, out=h2)
-    out = np.matmul(h2, L3[:, :n_h2], out=out)
-    out += L3[:, n_h2:]
+    out = np.matmul(h2, W3, out=out)
+    out += b3
     return h1, h2, out
 
 
-def _backward(layers, X1t, h1, h2, dout, grads):
+def _backward(layers, X1t, h1, h2, dout, grads, dh1, dh2):
     """Backprop the output gradients dout (2, N, D) of both heads into
-    ``grads``, the layer stacks of a ``_flat_params`` buffer. X1t is the
-    transposed bias-augmented feature matrix."""
-    L1, L2, L3 = layers
-    G1, G2, G3 = grads
-    n_h1, n_h2 = h1.shape[2], h2.shape[2]
+    ``grads``, the layers of a ``_flat_params`` buffer. X1t is the
+    transposed bias-augmented feature matrix. ``dh1`` and ``dh2`` receive
+    the hidden-layer gradients, and h1 and h2 are overwritten with their
+    tanh derivatives, so the pass allocates nothing."""
+    _, (W2, _), (W3, _) = layers
+    G1, (GW2, Gb2), (GW3, Gb3) = grads
     ones = X1t[-1:]  # the bias column of the features: all ones
-    np.matmul(h2.transpose(0, 2, 1), dout, out=G3[:, :n_h2])
-    np.matmul(ones, dout, out=G3[:, n_h2:])
-    dh2 = dout @ L3[:, :n_h2].transpose(0, 2, 1)
-    dh2 *= 1.0 - h2 * h2
-    np.matmul(h1.transpose(0, 2, 1), dh2, out=G2[:, :n_h1])
-    np.matmul(ones, dh2, out=G2[:, n_h1:])
-    dh1 = dh2 @ L2[:, :n_h1].transpose(0, 2, 1)
-    dh1 *= 1.0 - h1 * h1
+    np.matmul(h2.transpose(0, 2, 1), dout, out=GW3)
+    np.matmul(ones, dout, out=Gb3)
+    np.matmul(dout, W3.transpose(0, 2, 1), out=dh2)
+    dh2 *= _tanh_derivative(h2)
+    np.matmul(h1.transpose(0, 2, 1), dh2, out=GW2)
+    np.matmul(ones, dh2, out=Gb2)
+    np.matmul(dh2, W2.transpose(0, 2, 1), out=dh1)
+    dh1 *= _tanh_derivative(h1)
     np.matmul(X1t, dh1, out=G1)
+
+
+def _tanh_derivative(h):
+    """1 - h * h, written over the tanh activations h."""
+    np.multiply(h, h, out=h)
+    return np.subtract(1.0, h, out=h)
+
+
+def _step_buffers(hidden, n_t, n_rows, n_d, dtype):
+    """The buffers ``_nll_gradient`` writes into: h1, h2, out, dout, dh1
+    and dh2 (2, T, .), softplus and sigmoid (T, D), gathered variance and
+    mean (B, D), and likelihood partials and their temporaries (2, B, D)."""
+    return [*(np.empty((2, n_t, n), dtype) for n in (*hidden, n_d, n_d, *hidden)),
+            *(np.empty((n_t, n_d), dtype) for _ in range(2)),
+            *(np.empty((n_rows, n_d), dtype) for _ in range(2)),
+            *(np.empty((2, n_rows, n_d), dtype) for _ in range(2))]
 
 
 def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grads):
@@ -308,19 +363,23 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     step and the (T, B) ``onehot`` sums the output gradients of the pairs
     (values ``rows`` (B, D) at steps ``t_idx``, weight ``w`` each) onto
     them. ``floor`` is the standardized variance floor and ``bufs`` the
-    h1, h2, out and dout pass buffers. Returns dout (2, T, D).
+    ``_step_buffers``. Returns dout (2, T, D).
     """
-    h1, h2, out, dout = bufs
+    h1, h2, out, dout, dh1, dh2, soft, sig, var, mu, partials, work = bufs
     _forward(layers, X1, h1, h2, out)
-    soft = _softplus(out[1])
-    var = soft[t_idx]
+    _softplus(out[1], out=soft, work=sig)
+    # mode="clip" gathers straight into the buffer; "raise" would copy
+    # through a temporary. Every index is in range.
+    soft.take(t_idx, axis=0, out=var, mode="clip")
     var += floor
-    dmu_e, dvar_e = _nll_partials(rows, out[0][t_idx], var, nu, w)
-    np.matmul(onehot, dmu_e, out=dout[0])
-    np.matmul(onehot, dvar_e, out=dout[1])
+    out[0].take(t_idx, axis=0, out=mu, mode="clip")
+    _nll_partials(rows, mu, var, nu, w, out=partials, work=work)
+    np.matmul(onehot, partials, out=dout)
     # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
-    dout[1] *= np.exp(out[1] - soft)
-    _backward(layers, X1t, h1, h2, dout, grads)
+    np.subtract(out[1], soft, out=sig)
+    np.exp(sig, out=sig)
+    dout[1] *= sig
+    _backward(layers, X1t, h1, h2, dout, grads, dh1, dh2)
     return dout
 
 
@@ -393,15 +452,23 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     _grad, views, grads = _flat_params(estimator.hidden, n_d)
     _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, onehot,
                   estimator.var_floor / scale**2, estimator.nu, 1.0,
-                  [np.empty((2, n_t, n)) for n in (*estimator.hidden, n_d, n_d)], grads)
+                  _step_buffers(estimator.hidden, n_t, n_q * n_t, n_d, float), grads)
     return views
 
 
 @dataclass
 class FitTrace:
-    """Training diagnostics kept alongside a fitted estimator."""
+    """Training diagnostics kept alongside a fitted estimator.
 
-    loss_curve: list  # (step, full-bundle NLL) pairs, the last step included
+    ``loss_curve`` holds (step, full-bundle NLL) pairs at the last
+    ``max(20, 2 * tail_n)`` points of the fit's log schedule (every
+    ``max(1, steps // 200)`` steps plus the last step, n points, with
+    ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
+    step is always included. That is 40 of the 200 points at 3,000 or
+    4,000 steps, and all 7 at 7 steps.
+    """
+
+    loss_curve: list
 
     @property
     def final_loss(self) -> float:
@@ -414,10 +481,14 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     The loop trains a float32 copy of the parameters on float32 data,
     features, gradients, Adam moments and pass buffers, which makes a fit
     about 1.5x faster than float64 (see the module docstring for why the
-    precision suffices). Initialisation and standardization run in float64,
-    and so does the loss logged every ``steps // 200`` steps: the float32
-    parameters are copied into the returned estimator's float64 ``theta``
-    before each log, so it ends holding the trained parameters.
+    precision suffices). Each step writes into buffers allocated once per
+    fit. Initialisation and standardization run in float64, and so does
+    the logged loss, evaluated only at the schedule points that
+    ``FitTrace.loss_curve`` keeps (see there): the report reads the last
+    20, and the "still moving" warning compares the schedule's last tenth
+    with the tenth before it. The float32 parameters are copied into the
+    returned estimator's float64 ``theta`` before each evaluation, so it
+    ends holding the trained parameters.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -444,8 +515,17 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     theta, _, _ = _init_params(rng, config.hidden, n_d, data_std, config.nu)
     theta_train = theta.astype(_TRAIN_DTYPE)
     layers = _flat_params(config.hidden, n_d, theta_train)[2]
-    grad = np.zeros_like(theta_train)
+    # Adam's moments m and v, and the gradient with its square: each pair
+    # is one (2, N) array, so one pass decays both moments and one adds to
+    # both. The moments are kept without their (1 - beta) factors, which
+    # fold into the update's constants.
+    moments = np.zeros((2, theta_train.size), dtype=_TRAIN_DTYPE)
+    m, v = moments
+    grad_sq = np.zeros_like(moments)
+    grad = grad_sq[0]
     grads = _flat_params(config.hidden, n_d, grad)[2]
+    betas = np.array([[ADAM_BETA1], [ADAM_BETA2]], dtype=_TRAIN_DTYPE)
+    buf = np.empty_like(theta_train)
     features = time_features(grid).astype(_TRAIN_DTYPE)
     features_t = np.ascontiguousarray(features.T)
     flat = data_std.reshape(n_q * n_t, n_d).astype(_TRAIN_DTYPE)
@@ -456,23 +536,27 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
                             n_channels=n_d, var_floor=VAR_FLOOR,
                             channel_shift=shift, channel_scale=scale)
 
-    # Adam moments kept without their (1 - beta) factors, which fold into
-    # the update's constants, so each step makes fewer passes over theta.
-    m = np.zeros_like(theta_train)
-    v = np.zeros_like(theta_train)
-    buf = np.empty_like(theta_train)
     full_batch = n_q * n_t <= config.batch_size
-    log_every = max(1, config.steps // 200)
-    curve = []
-
     if full_batch:
         t_idx, a = t_of_pair, flat
         onehot = (grid_index == t_idx).astype(_TRAIN_DTYPE)
     else:
         onehot = np.empty((n_t, config.batch_size), dtype=_TRAIN_DTYPE)
+        a = np.empty((config.batch_size, n_d), dtype=_TRAIN_DTYPE)
     w = 1.0 / onehot.shape[1]
-    bufs = [np.empty((2, n_t, n), dtype=_TRAIN_DTYPE) for n in (*config.hidden, n_d, n_d)]
+    bufs = _step_buffers(config.hidden, n_t, onehot.shape[1], n_d, _TRAIN_DTYPE)
+    floor = np.empty_like(floor_std)
     chunk_size = 512
+
+    # The loss schedule: every log_every steps and the last step, n_logs
+    # points. Only its last `window` points are evaluated: the report keeps
+    # 20 and the warning below compares the last two tenths.
+    log_every = max(1, config.steps // 200)
+    n_logs = -(-config.steps // log_every)
+    tail_n = max(1, n_logs // 10)
+    window = min(n_logs, max(20, 2 * tail_n))
+    first_log = min((n_logs - window + 1) * log_every, config.steps)
+    curve = []
 
     # Variance-floor warmup: while the floor is high, every channel sees
     # gradients of comparable size, so the mean head fits all structure
@@ -488,13 +572,14 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
                                            size=(chunk_size, config.batch_size))
                 t_chunk = t_of_pair[batch_chunk]
             t_idx = t_chunk[pos]
-            a = flat[batch_chunk[pos]]
+            flat.take(batch_chunk[pos], axis=0, out=a, mode="clip")
             np.equal(grid_index, t_idx, out=onehot)
 
         progress = min(1.0, step / (warm_frac * config.steps))
         warm = warm_start * (warm_end / warm_start) ** progress
+        np.maximum(floor_std, warm, out=floor)
         dout = _nll_gradient(layers, features, features_t, a, t_idx, onehot,
-                             np.maximum(floor_std, warm), nu, w, bufs, grads)
+                             floor, nu, w, bufs, grads)
         # The weight gradients are sums of dout times bounded activations,
         # so screening this small array catches a non-finite step.
         if not np.isfinite(dout).all():
@@ -504,11 +589,9 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         # optimizer rattling around the collapsed-variance optimum and the
         # late loss non-monotone.
         lr = config.learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / config.steps)))
-        m *= ADAM_BETA1
-        m += grad
-        v *= ADAM_BETA2
-        np.multiply(grad, grad, out=buf)
-        v += buf
+        np.multiply(grad, grad, out=grad_sq[1])
+        moments *= betas
+        moments += grad_sq
         # theta -= lr * (m_hat / (sqrt(v_hat) + eps)) with m_hat = (1 - b1) m / bc1
         # and v_hat = (1 - b2) v / bc2, rearranged to act on m and v in place.
         v_scale = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2 ** step))
@@ -520,13 +603,12 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
         # The last step always logs, so the estimator leaves the loop
         # holding the trained parameters.
-        if step % log_every == 0 or step == config.steps:
+        if step >= first_log and (step % log_every == 0 or step == config.steps):
             theta[...] = theta_train
             curve.append((step, nll_loss_array(data, grid, est)))
 
-    losses = [l for _, l in curve]
-    tail_n = max(1, len(losses) // 10)
-    if len(losses) >= 3 * tail_n:
+    if n_logs >= 3 * tail_n:
+        losses = [l for _, l in curve]
         tail = sum(losses[-tail_n:]) / tail_n
         prev = sum(losses[-2 * tail_n:-tail_n]) / tail_n
         if tail > prev + 1e-3 * max(1.0, abs(prev)):

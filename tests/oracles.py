@@ -108,3 +108,206 @@ def max_relative_error(a: dict, b: dict, floor: float = 1e-6) -> float:
         denom = np.maximum(np.abs(b[key]), floor)
         worst = max(worst, float((np.abs(a[key] - b[key]) / denom).max()))
     return worst
+
+
+# ------------------------------------------------------ reference training loop
+#
+# fit_array's training loop written the plain way: every expression
+# allocates its result, and the full-bundle NLL is evaluated at every point
+# of the log schedule. Each operation runs in the same order and precision
+# as in the package, so the package must match it bit for bit; a reordering
+# of the step's arithmetic shows up as a changed bit, not as rounding
+# inside a tolerance.
+
+_FREQS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_FEATURES = 1 + 2 * len(_FREQS)
+_OMEGA = np.array([math.pi * f for f in _FREQS])
+_VAR_FLOOR = 1e-6
+
+
+def _ref_features(t):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    angles = t[:, None] * _OMEGA
+    out = np.empty((t.size, _FEATURES + 1))
+    out[:, 0] = t
+    np.sin(angles, out=out[:, 1:-1:2])
+    np.cos(angles, out=out[:, 2:-1:2])
+    out[:, -1] = 1.0
+    return out
+
+
+def _ref_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _ref_layers(hidden, n_d, theta):
+    """Views of the flat vector: layer k is (2, fan_in + 1, fan_out), mu
+    head first, the bias as the last row."""
+    h1, h2 = hidden
+    layers, offset = [], 0
+    for n_in, n_out in ((_FEATURES, h1), (h1, h2), (h2, n_d)):
+        size = 2 * (n_in + 1) * n_out
+        layers.append(theta[offset:offset + size].reshape(2, n_in + 1, n_out))
+        offset += size
+    return layers
+
+
+def _ref_forward(layers, X1, h1=None, h2=None, out=None):
+    L1, L2, L3 = layers
+    n_h1, n_h2 = L2.shape[1] - 1, L3.shape[1] - 1
+    h1 = np.matmul(X1, L1, out=h1)
+    np.tanh(h1, out=h1)
+    h2 = np.matmul(h1, L2[:, :n_h1], out=h2)
+    h2 += L2[:, n_h1:]
+    np.tanh(h2, out=h2)
+    out = np.matmul(h2, L3[:, :n_h2], out=out)
+    out += L3[:, n_h2:]
+    return h1, h2, out
+
+
+def _ref_nll(data, grid, layers, shift, scale, nu):
+    """Total float64 NLL of (Q, T, D) data, as nll_loss_array computes it."""
+    mu_net, s_raw = _ref_forward(layers, _ref_features(grid))[2]
+    mu = mu_net * scale + shift
+    var = _ref_softplus(s_raw) * scale**2 + _VAR_FLOOR
+    r2 = (data - mu[None]) ** 2
+    if math.isinf(nu):
+        lp = -0.5 * (math.log(2.0 * math.pi) + np.log(var[None])) - r2 / (2.0 * var[None])
+    else:
+        norm = math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+        lp = norm - 0.5 * np.log(var[None]) - ((nu + 1.0) / 2.0) * np.log1p(r2 / (nu * var[None]))
+    return -float(np.sum(lp))
+
+
+def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
+                  learning_rate=1e-2, seed=0):
+    """The training loop with its allocations and every loss log.
+
+    Returns the trained float64 parameter vector (``_flat_params`` layout)
+    and the loss curve at every point of the log schedule: every
+    ``max(1, steps // 200)`` steps and the last step.
+    """
+    data = np.asarray(data, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    n_q, n_t, n_d = data.shape
+    h1, h2 = hidden
+    rng = np.random.default_rng(seed)
+    flat_raw = data.reshape(n_q * n_t, n_d)
+    shift = np.median(flat_raw, axis=0)
+    scale = np.maximum(np.std(flat_raw, axis=0), 1e-3)
+    data_std = (data - shift) / scale
+    f32 = np.float32
+    floor_std = (_VAR_FLOOR / scale**2).astype(f32)
+    nu = float(nu)
+
+    # Initialisation, in float64: the draws in the package's order.
+    size = 2 * sum((n_in + 1) * n_out
+                   for n_in, n_out in ((_FEATURES, h1), (h1, h2), (h2, n_d)))
+    theta = np.zeros(size)
+    L1, L2, L3 = _ref_layers(hidden, n_d, theta)
+    for i in range(2):  # mu head, then s head
+        L1[i, :_FEATURES] = rng.normal(0.0, 1.0 / math.sqrt(_FEATURES), (_FEATURES, h1))
+        L2[i, :h1] = rng.normal(0.0, 1.0 / math.sqrt(h1), (h1, h2))
+    flat = data_std.reshape(-1, n_d)
+    med = np.median(flat, axis=0)
+    L3[0, h2] = med
+    if math.isinf(nu):
+        spread = np.var(flat, axis=0)
+    else:
+        spread = (1.4826 * np.median(np.abs(flat - med), axis=0)) ** 2
+    y = np.clip(spread, 1e-2, 25.0) + _VAR_FLOOR
+    L3[1, h2] = y + np.log1p(-np.exp(-y))
+
+    theta_train = theta.astype(f32)
+    layers = _ref_layers(hidden, n_d, theta_train)
+    grad = np.zeros_like(theta_train)
+    grads = _ref_layers(hidden, n_d, grad)
+    features = _ref_features(grid).astype(f32)
+    features_t = np.ascontiguousarray(features.T)
+    flat = data_std.reshape(n_q * n_t, n_d).astype(f32)
+    t_of_pair = np.tile(np.arange(n_t), n_q)
+    grid_index = np.arange(n_t)[:, None]
+    eval_layers = _ref_layers(hidden, n_d, theta)
+
+    m = np.zeros_like(theta_train)
+    v = np.zeros_like(theta_train)
+    buf = np.empty_like(theta_train)
+    full_batch = n_q * n_t <= batch_size
+    log_every = max(1, steps // 200)
+    curve = []
+    if full_batch:
+        t_idx, a = t_of_pair, flat
+        onehot = (grid_index == t_idx).astype(f32)
+    else:
+        onehot = np.empty((n_t, batch_size), dtype=f32)
+    w = 1.0 / onehot.shape[1]
+    h1_buf, h2_buf, out, dout = (np.empty((2, n_t, n), dtype=f32) for n in (h1, h2, n_d, n_d))
+    chunk_size = 512
+    warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    for step in range(1, steps + 1):
+        if not full_batch:
+            pos = (step - 1) % chunk_size
+            if pos == 0:
+                batch_chunk = rng.integers(0, n_q * n_t, size=(chunk_size, batch_size))
+                t_chunk = t_of_pair[batch_chunk]
+            t_idx = t_chunk[pos]
+            a = flat[batch_chunk[pos]]
+            np.equal(grid_index, t_idx, out=onehot)
+
+        progress = min(1.0, step / (warm_frac * steps))
+        warm = warm_start * (warm_end / warm_start) ** progress
+        floor = np.maximum(floor_std, warm)
+
+        # Forward, t-likelihood partials, one-hot sums, softplus factor.
+        _ref_forward(layers, features, h1_buf, h2_buf, out)
+        soft = _ref_softplus(out[1])
+        var = soft[t_idx]
+        var += floor
+        r = a - out[0][t_idx]
+        if math.isinf(nu):
+            dmu = (-w) * r / var
+            dvar = (0.5 * w) / var - (0.5 * w) * r * r / (var * var)
+        else:
+            denom = nu * var + r * r
+            dmu = (-(nu + 1.0) * w) * r / denom
+            dvar = (0.5 * w) / var - ((nu + 1.0) / 2.0 * w) * r * r / (var * denom)
+        np.matmul(onehot, dmu, out=dout[0])
+        np.matmul(onehot, dvar, out=dout[1])
+        dout[1] *= np.exp(out[1] - soft)
+
+        # Backward into the gradient's layer views.
+        (W1, W2, W3), (G1, G2, G3) = layers, grads
+        ones = features_t[-1:]
+        np.matmul(h2_buf.transpose(0, 2, 1), dout, out=G3[:, :h2])
+        np.matmul(ones, dout, out=G3[:, h2:])
+        dh2 = dout @ W3[:, :h2].transpose(0, 2, 1)
+        dh2 *= 1.0 - h2_buf * h2_buf
+        np.matmul(h1_buf.transpose(0, 2, 1), dh2, out=G2[:, :h1])
+        np.matmul(ones, dh2, out=G2[:, h1:])
+        dh1 = dh2 @ W2[:, :h1].transpose(0, 2, 1)
+        dh1 *= 1.0 - h1_buf * h1_buf
+        np.matmul(features_t, dh1, out=G1)
+        if not np.isfinite(dout).all():
+            raise FloatingPointError(f"gradient became non-finite at step {step}")
+
+        # Adam on moments kept without their (1 - beta) factors.
+        lr = learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / steps)))
+        m *= beta1
+        m += grad
+        v *= beta2
+        np.multiply(grad, grad, out=buf)
+        v += buf
+        v_scale = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
+        np.sqrt(v, out=buf)
+        buf += eps / v_scale
+        np.divide(m, buf, out=buf)
+        buf *= lr * (1.0 - beta1) / (1.0 - beta1 ** step) / v_scale
+        theta_train -= buf
+
+        if step % log_every == 0 or step == steps:
+            theta[...] = theta_train
+            curve.append((step, _ref_nll(data, grid, eval_layers, shift, scale, nu)))
+
+    return theta, curve

@@ -47,6 +47,8 @@ from rip.policy import (
 )
 from rip.tokens import decode_trajectory, encode_action_block
 
+pytestmark = pytest.mark.slow
+
 # One worker per usable core: more only oversubscribes the cores.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 

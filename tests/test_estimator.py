@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def constant_estimator(mu_values, var_values, nu, hidden=(4, 4), var_floor=1e-6)
     return StudentTEstimator(theta=theta, nu=nu, hidden=hidden, n_channels=n,
                              var_floor=var_floor, channel_shift=np.zeros(n),
                              channel_scale=np.ones(n))
+
+
+def log_schedule(steps):
+    """The steps fit_array's log schedule names: every max(1, steps // 200)
+    steps, and the last step."""
+    every = max(1, steps // 200)
+    return sorted(set(range(every, steps + 1, every)) | {steps})
 
 
 def random_estimator(rng, hidden, n_channels, nu, affine=False):
@@ -252,9 +260,12 @@ class TestFit:
 
     def test_loss_tail_settles(self, outlier_fits):
         _, _, _, t_trace, _, g_trace = outlier_fits
+        # The last tenth of the log schedule against the tenth before it:
+        # 20 points each at the default 4,000 steps.
+        n = max(1, len(log_schedule(FitConfig().steps)) // 10)
         for trace in (t_trace, g_trace):
             losses = [l for _, l in trace.loss_curve]
-            n = max(1, len(losses) // 10)
+            assert len(losses) >= 2 * n
             tail = np.mean(losses[-n:])
             prev = np.mean(losses[-2 * n:-n])
             assert tail <= prev + 1e-3 * max(1.0, abs(prev))
@@ -322,33 +333,48 @@ class TestTrainingPrecision:
         assert all(a.dtype == np.float64 for a in est.mean_and_variance(grid))
 
     def test_estimator_holds_the_trained_parameters(self, fitted):
-        # The logged loss fell during training, and the last one is that of
+        # The loss fell during training (against the loss after the first
+        # step of the same seeded run), and the last logged loss is that of
         # the returned estimator, bit for bit.
         data, grid, est, trace = fitted
-        assert trace.final_loss < trace.loss_curve[0][1]
+        _, first = fit_array(data, grid, FitConfig(seed=4, steps=1))
+        assert trace.final_loss < first.final_loss
         assert trace.final_loss == nll_loss_array(data, grid, est)
 
     @pytest.mark.parametrize("nu, shape", [(1.5, (4, 30, 3)), (math.inf, (2, 5, 1))],
                              ids=["t-minibatch", "gaussian-full-batch"])
     def test_no_float64_array_enters_the_loop(self, monkeypatch, nu, shape):
-        # One float64 operand would silently upcast the whole step.
-        seen = []
-        real_partials, real_backward = rip.estimator._nll_partials, rip.estimator._backward
+        # One float64 operand would silently upcast the whole step, and
+        # that includes the buffers the step writes into.
+        seen, calls = [], Counter()
 
-        def partials(*args, **kwargs):
-            result = real_partials(*args, **kwargs)
-            seen.extend(a for a in (*args, *result) if isinstance(a, np.ndarray))
-            return result
+        def arrays(*values):
+            for a in values:
+                if isinstance(a, np.ndarray):
+                    yield a
+                elif isinstance(a, (list, tuple)):
+                    yield from arrays(*a)
 
-        def backward(layers, X1t, h1, h2, dout, grads):
-            seen.extend([*layers, X1t, h1, h2, dout, *grads])
-            return real_backward(layers, X1t, h1, h2, dout, grads)
+        def spy(name):
+            real = getattr(rip.estimator, name)
 
-        monkeypatch.setattr(rip.estimator, "_nll_partials", partials)
-        monkeypatch.setattr(rip.estimator, "_backward", backward)
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                # A _softplus call without buffers is the float64 loss log.
+                if name == "_backward" or kwargs.get("out") is not None:
+                    calls[name] += 1
+                    seen.extend(arrays(*args, *kwargs.values(), result))
+                return result
+
+            monkeypatch.setattr(rip.estimator, name, wrapper)
+
+        for name in ("_softplus", "_nll_partials", "_backward"):
+            spy(name)
         data = np.random.default_rng(0).normal(0, 1, shape)
         fit_array(data, np.linspace(0, 1, shape[1]), FitConfig(nu=nu, seed=0, steps=5))
-        assert seen and {a.dtype for a in seen} == {np.dtype(np.float32)}
+        # Every step hands its softplus and its partials their out buffers.
+        assert calls == {"_softplus": 5, "_nll_partials": 5, "_backward": 5}
+        assert {a.dtype for a in seen} == {np.dtype(np.float32)}
 
     def test_matches_float64_training(self, monkeypatch):
         # Pick bundles (Q=5 with hallucinations) fitted at both precisions.
@@ -362,6 +388,56 @@ class TestTrainingPrecision:
         for single, double in zip(results[np.float32], results[np.float64]):
             assert single.gripper_states() == double.gripper_states()
             assert np.abs(single.data[:, :9] - double.data[:, :9]).max() <= PARITY_BOUND_M
+
+
+class TestLossLog:
+    """fit_array evaluates the loss only at the schedule points its trace keeps."""
+
+    @pytest.mark.parametrize("steps, n_calls",
+                             [(4000, 40), (3000, 40), (400, 40), (300, 60), (50, 20), (7, 7)])
+    def test_only_the_kept_points_are_evaluated(self, monkeypatch, steps, n_calls):
+        calls = []
+        real = rip.estimator.nll_loss_array
+
+        def spy(data, grid, estimator):
+            calls.append(real(data, grid, estimator))
+            return calls[-1]
+
+        monkeypatch.setattr(rip.estimator, "nll_loss_array", spy)
+        data = np.random.default_rng(0).normal(0, 1, (2, 5, 1))
+        _, trace = fit_array(data, np.linspace(0, 1, 5),
+                             FitConfig(hidden=(4, 4), steps=steps, seed=0))
+        schedule = log_schedule(steps)
+        kept = schedule[-max(20, 2 * max(1, len(schedule) // 10)):]
+        assert [s for s, _ in trace.loss_curve] == kept
+        assert [l for _, l in trace.loss_curve] == calls
+        assert len(calls) == n_calls and kept[-1] == steps
+
+    def test_window_at_the_benchmark_step_counts(self):
+        assert log_schedule(4000)[-40:] == list(range(3220, 4001, 20))
+        assert log_schedule(7) == list(range(1, 8))
+
+
+class TestReferenceLoop:
+    """fit_array against the allocating loop with every loss log, bit for bit."""
+
+    @pytest.mark.parametrize("nu, shape, hidden, steps", [
+        (1.5, (4, 30, 3), (64, 64), 600),        # t, minibatch, chunk refill
+        (math.inf, (2, 5, 1), (8, 6), 300),       # Gaussian, full batch
+        (4.0, (3, 60, 2), (64, 64), 250),         # t, minibatch, T >= 50
+        (math.inf, (2, 70, 10), (64, 64), 250),   # Gaussian, minibatch, T >= 50
+        (1.5, (3, 20, 2), (16, 12), 120),         # t, full batch
+    ], ids=["t-minibatch", "gaussian-full-batch", "t-long", "gaussian-long", "t-full-batch"])
+    def test_bit_equal_to_reference(self, nu, shape, hidden, steps):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.normal(0, 0.3, shape)
+        data[0] += 1.0  # one sample off the others
+        grid = np.linspace(0, 1, shape[1])
+        theta, curve = oracles.reference_fit(data, grid, nu, hidden=hidden, steps=steps, seed=3)
+        est, trace = fit_array(data, grid, FitConfig(nu=nu, hidden=hidden, steps=steps, seed=3))
+        np.testing.assert_array_equal(est.theta, theta)
+        assert len(curve) == len(log_schedule(steps))
+        assert trace.loss_curve == curve[-len(trace.loss_curve):]
 
 
 class TestRobustnessOrdering:
