@@ -15,9 +15,10 @@ bundles in both precisions give the same gripper steps and means within a
 few millimetres), and float32 doubles the values each vector instruction
 of a step handles. Everything outside the training loop is float64: the
 fitted estimator, its evaluation and serialization, and the logged loss.
-Each training step writes into buffers allocated once per fit, and the
-full-bundle loss is evaluated only at the last points of the log schedule,
-the ones the fit's trace keeps (see ``FitTrace``).
+Each training step writes its forward pass, likelihood terms and Adam
+update into buffers allocated once per fit, and the full-bundle loss is
+evaluated only at the last points of the log schedule, the ones the fit's
+trace keeps (see ``FitTrace``).
 
 The analytic gradient runs the training step's own gradient function in
 float64, so the finite-difference check in the bench CLI and tests
@@ -55,6 +56,10 @@ _TRAIN_DTYPE = np.float32
 # Absolute lower bound on every fitted variance, in raw units.
 VAR_FLOOR = 1e-6
 
+# Loss points at the end of a fit that a run report keeps; fit_array always
+# evaluates at least these (see FitTrace).
+REPORT_TAIL = 20
+
 
 def log_gamma(x):
     """Natural log of the gamma function for positive real input.
@@ -86,7 +91,7 @@ def _t_log_norm(nu: float) -> float:
     return log_gamma((nu + 1.0) / 2.0) - log_gamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
 
 
-def _nll_partials(x, mu, var, nu: float, weight: float = 1.0, out=None, work=None):
+def _nll_partials(x, mu, var, nu: float, weight: float, out, work):
     """d(-log pdf)/d mu and d(-log pdf)/d var, elementwise, times ``weight``.
 
     Computes, one operation at a time and in this order,
@@ -94,14 +99,8 @@ def _nll_partials(x, mu, var, nu: float, weight: float = 1.0, out=None, work=Non
         dvar = (w / 2) / var - ((nu + 1) / 2 w) r r / (var (nu var + r r))
     with r = x - mu, or the Gaussian forms (-w) r / var and
     (w / 2) / var - (w / 2) r r / (var var). ``out`` (2, ...) receives the
-    two partials and ``work`` (2, ...) holds temporaries; either is allocated
-    when not given.
+    two partials and ``work`` (2, ...) holds temporaries.
     """
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(mu), np.shape(var))
-        out = np.empty((2, *shape), np.result_type(x, mu, var))
-    if work is None:
-        work = np.empty_like(out)
     dmu, dvar = out
     r, tmp = work
     np.subtract(x, mu, out=r)
@@ -145,7 +144,7 @@ def _softplus(x, out=None, work=None):
     # same formula np.logaddexp(0, x) uses, in fewer passes. ``out`` and
     # the temporary ``work`` have x's shape; each is allocated if not given.
     out = np.maximum(x, 0.0, out=out)
-    work = np.copysign(x, -1.0, out=work)  # -|x|, in one pass
+    work = np.negative(np.abs(x, out=work), out=work)
     np.exp(work, out=work)
     np.log1p(work, out=work)
     out += work
@@ -320,37 +319,29 @@ def _forward(layers, X1, h1=None, h2=None, out=None):
     return h1, h2, out
 
 
-def _backward(layers, X1t, h1, h2, dout, grads, dh1, dh2):
+def _backward(layers, X1t, h1, h2, dout, grads):
     """Backprop the output gradients dout (2, N, D) of both heads into
     ``grads``, the layers of a ``_flat_params`` buffer. X1t is the
-    transposed bias-augmented feature matrix. ``dh1`` and ``dh2`` receive
-    the hidden-layer gradients, and h1 and h2 are overwritten with their
-    tanh derivatives, so the pass allocates nothing."""
+    transposed bias-augmented feature matrix."""
     _, (W2, _), (W3, _) = layers
     G1, (GW2, Gb2), (GW3, Gb3) = grads
     ones = X1t[-1:]  # the bias column of the features: all ones
     np.matmul(h2.transpose(0, 2, 1), dout, out=GW3)
     np.matmul(ones, dout, out=Gb3)
-    np.matmul(dout, W3.transpose(0, 2, 1), out=dh2)
-    dh2 *= _tanh_derivative(h2)
+    dh2 = dout @ W3.transpose(0, 2, 1)
+    dh2 *= 1.0 - h2 * h2
     np.matmul(h1.transpose(0, 2, 1), dh2, out=GW2)
     np.matmul(ones, dh2, out=Gb2)
-    np.matmul(dh2, W2.transpose(0, 2, 1), out=dh1)
-    dh1 *= _tanh_derivative(h1)
+    dh1 = dh2 @ W2.transpose(0, 2, 1)
+    dh1 *= 1.0 - h1 * h1
     np.matmul(X1t, dh1, out=G1)
 
 
-def _tanh_derivative(h):
-    """1 - h * h, written over the tanh activations h."""
-    np.multiply(h, h, out=h)
-    return np.subtract(1.0, h, out=h)
-
-
 def _step_buffers(hidden, n_t, n_rows, n_d, dtype):
-    """The buffers ``_nll_gradient`` writes into: h1, h2, out, dout, dh1
-    and dh2 (2, T, .), softplus and sigmoid (T, D), gathered variance and
-    mean (B, D), and likelihood partials and their temporaries (2, B, D)."""
-    return [*(np.empty((2, n_t, n), dtype) for n in (*hidden, n_d, n_d, *hidden)),
+    """The buffers ``_nll_gradient`` writes into: h1, h2, out and dout
+    (2, T, .), softplus and sigmoid (T, D), gathered variance and mean
+    (B, D), and likelihood partials and their temporaries (2, B, D)."""
+    return [*(np.empty((2, n_t, n), dtype) for n in (*hidden, n_d, n_d)),
             *(np.empty((n_t, n_d), dtype) for _ in range(2)),
             *(np.empty((n_rows, n_d), dtype) for _ in range(2)),
             *(np.empty((2, n_rows, n_d), dtype) for _ in range(2))]
@@ -365,7 +356,7 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     them. ``floor`` is the standardized variance floor and ``bufs`` the
     ``_step_buffers``. Returns dout (2, T, D).
     """
-    h1, h2, out, dout, dh1, dh2, soft, sig, var, mu, partials, work = bufs
+    h1, h2, out, dout, soft, sig, var, mu, partials, work = bufs
     _forward(layers, X1, h1, h2, out)
     _softplus(out[1], out=soft, work=sig)
     # mode="clip" gathers straight into the buffer; "raise" would copy
@@ -379,7 +370,7 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     np.subtract(out[1], soft, out=sig)
     np.exp(sig, out=sig)
     dout[1] *= sig
-    _backward(layers, X1t, h1, h2, dout, grads, dh1, dh2)
+    _backward(layers, X1t, h1, h2, dout, grads)
     return dout
 
 
@@ -461,9 +452,9 @@ class FitTrace:
     """Training diagnostics kept alongside a fitted estimator.
 
     ``loss_curve`` holds (step, full-bundle NLL) pairs at the last
-    ``max(20, 2 * tail_n)`` points of the fit's log schedule (every
-    ``max(1, steps // 200)`` steps plus the last step, n points, with
-    ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
+    ``max(REPORT_TAIL, 2 * tail_n)`` points of the fit's log schedule
+    (every ``max(1, steps // 200)`` steps plus the last step, n points,
+    with ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
     step is always included. That is 40 of the 200 points at 3,000 or
     4,000 steps, and all 7 at 7 steps.
     """
@@ -481,14 +472,16 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     The loop trains a float32 copy of the parameters on float32 data,
     features, gradients, Adam moments and pass buffers, which makes a fit
     about 1.5x faster than float64 (see the module docstring for why the
-    precision suffices). Each step writes into buffers allocated once per
-    fit. Initialisation and standardization run in float64, and so does
+    precision suffices). Each step writes its forward pass, likelihood
+    terms and Adam update into buffers allocated once per fit (the
+    backward pass's hidden-layer gradients are still allocated: buffering
+    them measured no faster). Initialisation and standardization run in float64, and so does
     the logged loss, evaluated only at the schedule points that
     ``FitTrace.loss_curve`` keeps (see there): the report reads the last
-    20, and the "still moving" warning compares the schedule's last tenth
-    with the tenth before it. The float32 parameters are copied into the
-    returned estimator's float64 ``theta`` before each evaluation, so it
-    ends holding the trained parameters.
+    ``REPORT_TAIL``, and the "still moving" warning compares the
+    schedule's last tenth with the tenth before it. The float32
+    parameters are copied into the returned estimator's float64 ``theta``
+    before each evaluation, so it ends holding the trained parameters.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -545,16 +538,15 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         a = np.empty((config.batch_size, n_d), dtype=_TRAIN_DTYPE)
     w = 1.0 / onehot.shape[1]
     bufs = _step_buffers(config.hidden, n_t, onehot.shape[1], n_d, _TRAIN_DTYPE)
-    floor = np.empty_like(floor_std)
     chunk_size = 512
 
     # The loss schedule: every log_every steps and the last step, n_logs
     # points. Only its last `window` points are evaluated: the report keeps
-    # 20 and the warning below compares the last two tenths.
+    # REPORT_TAIL and the warning below compares the last two tenths.
     log_every = max(1, config.steps // 200)
     n_logs = -(-config.steps // log_every)
     tail_n = max(1, n_logs // 10)
-    window = min(n_logs, max(20, 2 * tail_n))
+    window = min(n_logs, max(REPORT_TAIL, 2 * tail_n))
     first_log = min((n_logs - window + 1) * log_every, config.steps)
     curve = []
 
@@ -577,9 +569,8 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
         progress = min(1.0, step / (warm_frac * config.steps))
         warm = warm_start * (warm_end / warm_start) ** progress
-        np.maximum(floor_std, warm, out=floor)
         dout = _nll_gradient(layers, features, features_t, a, t_idx, onehot,
-                             floor, nu, w, bufs, grads)
+                             np.maximum(floor_std, warm), nu, w, bufs, grads)
         # The weight gradients are sums of dout times bounded activations,
         # so screening this small array catches a non-finite step.
         if not np.isfinite(dout).all():

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .core import Trajectory, align_bundle
 from .errors import PipelineError
-from .estimator import FitConfig, extract_mean, fit_with_trace
+from .estimator import REPORT_TAIL, FitConfig, extract_mean, fit_with_trace
 from .policy import PolicyConfig, sample_trajectories
 from .tokens import PolicyContext
 
@@ -82,7 +82,7 @@ def run_rip(context: PolicyContext, policy: PolicyConfig,
         decoded_count=len(decoded),
         bundle_length=bundle.length,
         final_loss=trace.final_loss,
-        loss_curve_tail=trace.loss_curve[-20:],
+        loss_curve_tail=trace.loss_curve[-REPORT_TAIL:],
         timings={
             "sample_s": t_sample - t0,
             "align_s": t_align - t_sample,
