@@ -353,8 +353,10 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     Pairs at one grid step share an input, so both passes run once per grid
     step and the (T, B) ``onehot`` sums the output gradients of the pairs
     (values ``rows`` (B, D) at steps ``t_idx``, weight ``w`` each) onto
-    them. ``floor`` is the standardized variance floor and ``bufs`` the
-    ``_step_buffers``. Returns dout (2, T, D).
+    them. ``onehot=None`` says the rows are a whole (Q, T, D) bundle in
+    sample order, so a sum over its samples does the same job without the
+    (T, Q*T) matmul. ``floor`` is the standardized variance floor and
+    ``bufs`` the ``_step_buffers``. Returns dout (2, T, D).
     """
     h1, h2, out, dout, soft, sig, var, mu, partials, work = bufs
     _forward(layers, X1, h1, h2, out)
@@ -365,7 +367,10 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     var += floor
     out[0].take(t_idx, axis=0, out=mu, mode="clip")
     _nll_partials(rows, mu, var, nu, w, out=partials, work=work)
-    np.matmul(onehot, partials, out=dout)
+    if onehot is None:
+        partials.reshape(2, -1, *dout.shape[1:]).sum(axis=1, out=dout)
+    else:
+        np.matmul(onehot, partials, out=dout)
     # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
     np.subtract(out[1], soft, out=sig)
     np.exp(sig, out=sig)
@@ -439,9 +444,8 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     scale = estimator.channel_scale
     rows = ((data - estimator.channel_shift) / scale).reshape(n_q * n_t, n_d)
     t_idx = np.tile(np.arange(n_t), n_q)
-    onehot = (np.arange(n_t)[:, None] == t_idx).astype(float)
     _grad, views, grads = _flat_params(estimator.hidden, n_d)
-    _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, onehot,
+    _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, None,
                   estimator.var_floor / scale**2, estimator.nu, 1.0,
                   _step_buffers(estimator.hidden, n_t, n_q * n_t, n_d, float), grads)
     return views

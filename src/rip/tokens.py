@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ACTION_DIM, GRIPPER_CHANNEL, KeypointSet, Trajectory
+from .core import GRIPPER_CHANNEL, KeypointSet, Trajectory
 from .errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
 
 # Quantization overflow guard: 10 m at 1 mm resolution stays within 5 digits.
@@ -71,7 +71,10 @@ def quantize_mm(x):
 
 
 def _int_lines(rows: np.ndarray) -> list[str]:
-    return [" ".join(map(str, row)) for row in rows.tolist()]
+    """Each row of a 2-D integer array as one line of space-separated ints."""
+    n, d = rows.shape
+    line = " ".join(["%d"] * d)
+    return ("\n".join([line] * n) % tuple(rows.ravel().tolist())).split("\n")
 
 
 def encode_action_block(trajectory: Trajectory) -> str:
@@ -123,10 +126,11 @@ def decode_trajectory(text: str) -> Trajectory:
             "no action block found: expected >= 2 consecutive lines of 10 integers"
         )
 
-    # Parsed as floats, a token of any length is a number (inf at worst)
-    # that the range check rejects; the integer parser would refuse or
-    # overflow on a long enough one.
-    values = np.array(" ".join(block).split(), dtype=float).reshape(len(block), ACTION_DIM)
+    # numpy's C text reader splits on the same Unicode whitespace as
+    # str.split. Parsed as floats, a token of any length is a number (inf
+    # at worst) that the range check rejects; the integer parser would
+    # refuse or overflow on a long enough one.
+    values = np.loadtxt(block, dtype=float, ndmin=2)
     if np.abs(values[:, :GRIPPER_CHANNEL]).max() > MAX_COORDINATE_M * MM_PER_M:
         raise MalformedResponseError(
             f"action coordinate outside the {MAX_COORDINATE_M} m encodable range"

@@ -7,9 +7,13 @@ the whole point is a second, dumber route to the same numbers.
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
+
+from rip.core import Trajectory
+from rip.errors import MalformedResponseError
 
 mp.mp.dps = 40
 
@@ -311,3 +315,61 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
             curve.append((step, _ref_nll(data, grid, eval_layers, shift, scale, nu)))
 
     return theta, curve
+
+
+# ------------------------------------------------------------- text tokens
+#
+# The prompt encoder and the untrusted-output decoder written the plain
+# way: one str.join per row, and a Python-level split of the action block.
+
+_MM_PER_M = 1000.0
+_MAX_COORDINATE_MM = 10_000.0
+_MAX_ACTION_LINES = 10_000
+_ACTION_LINE = re.compile(r"\s*(?:[+-]?[0-9]+\s+){9}[+-]?[0-9]+\s*")
+
+
+def _ref_mm(arr):
+    return np.sign(arr) * np.floor(np.abs(arr) * _MM_PER_M + 0.5)
+
+
+def _ref_lines(values) -> list:
+    return [" ".join(map(str, row)) for row in values.astype(np.int64).tolist()]
+
+
+def reference_encode_context(context, preamble: str) -> str:
+    """The prompt text of a PolicyContext whose coordinates are in range."""
+    parts = [preamble, ""]
+    for i, (keypoints, trajectory) in enumerate(context.demonstrations, start=1):
+        data = trajectory.to_array()
+        parts += [f"DEMONSTRATION {i}", "KEYPOINTS:", *_ref_lines(_ref_mm(keypoints.to_array())),
+                  "ACTIONS:", *_ref_lines(np.column_stack([_ref_mm(data[:, :9]), data[:, 9]])),
+                  ""]
+    parts += ["QUERY:", *_ref_lines(_ref_mm(context.query_keypoints.to_array())), "ACTIONS:"]
+    return "\n".join(parts) + "\n"
+
+
+def reference_decode(text: str) -> Trajectory:
+    """The first run of >= 2 lines of exactly 10 ASCII integers, in meters;
+    MalformedResponseError when there is none, it runs past 10,000 lines,
+    a coordinate exceeds 10,000 mm or a gripper token is not 0 or 1."""
+    block = []
+    for line in text.splitlines():
+        if _ACTION_LINE.fullmatch(line):
+            block.append(line)
+            if len(block) > _MAX_ACTION_LINES:
+                raise MalformedResponseError("action block too long")
+        elif len(block) >= 2:
+            break
+        else:
+            block = []
+    if len(block) < 2:
+        raise MalformedResponseError("no action block found")
+    values = np.array(" ".join(block).split(), dtype=float).reshape(len(block), 10)
+    if np.abs(values[:, :9]).max() > _MAX_COORDINATE_MM:
+        raise MalformedResponseError("action coordinate out of range")
+    g = values[:, 9]
+    if not ((g == 0) | (g == 1)).all():
+        raise MalformedResponseError("gripper token must be 0 or 1")
+    data = values + 0.0  # "-0" names the integer 0
+    data[:, :9] /= _MM_PER_M
+    return Trajectory(data)

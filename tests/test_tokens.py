@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import keypoints, line_trajectory, make_action, random_trajectory
+from oracles import reference_decode, reference_encode_context
 
 from rip.core import Trajectory
 from rip.errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
+from rip.policy import make_consensus_task
 from rip.tokens import (
     MAX_ACTION_LINES,
     MAX_COORDINATE_M,
     PolicyContext,
+    _int_lines,
     decode_trajectory,
+    default_preamble,
     encode_action_block,
     encode_context,
     quantize_mm,
@@ -75,6 +80,24 @@ class TestEncodeContext:
         text = encode_context(tiny_context(), preamble="DO THE TASK")
         assert text.startswith("DO THE TASK\n")
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 10)),
+                      elements=st.integers(-10_000, 10_000)))
+    @example(np.array([[0, 10_000, -10_000]]))
+    def test_int_lines_join_each_row(self, rows):
+        assert _int_lines(rows) == [" ".join(map(str, r)) for r in rows.tolist()]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", ["pick", "reach", "push", "swoop"])
+    def test_seeded_contexts_match_reference(self, shape, seed):
+        if shape == "swoop":  # the remote benchmark's full-rate demonstration
+            context, _ = make_consensus_task(seed, "pick", n_demos=1, length_range=(260, 340),
+                                             pick_profile="swoop", demo_drift=0.0,
+                                             demo_wobble=0.001)
+        else:
+            context, _ = make_consensus_task(seed, shape)
+        assert encode_context(context) == reference_encode_context(context, default_preamble())
+
 
 class TestDecode:
     def test_roundtrip_within_quantization(self, rng):
@@ -135,24 +158,51 @@ class TestDecode:
         assert back.data[1, 9] == 1
 
 
-# Untrusted model output: prose mixed with lines of ten integers of any size.
-_coordinate = st.one_of(
+# Untrusted model output: prose mixed with lines of 9 to 11 integers of any
+# size, the tokens split by whitespace str.split knows (not only " ") and
+# the lines ended by every boundary str.splitlines knows.
+_SPACES = " \t\x1f\xa0\u1680\u2003\u202f\u205f\u3000"
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_sign = st.sampled_from(["", "+", "-"])
+_in_range = st.one_of(
     st.integers(-10_000, 10_000).map(str),
+    st.builds("{}{}{}".format, _sign, st.text("0", min_size=1, max_size=4),
+              st.integers(0, 10_000)),
+)
+_coordinate = st.one_of(
+    _in_range,
+    st.builds(str.__add__, _sign, st.text("0123456789", min_size=400, max_size=450)),
     st.integers().map(str),
-    st.builds(str.__add__, st.sampled_from(["", "+", "-"]),
-              st.text("0123456789", min_size=1, max_size=450)),
 )
-_action_line = st.builds(
-    lambda coords, flag: " ".join(coords + [flag]),
-    st.lists(_coordinate, min_size=9, max_size=9),
-    st.one_of(st.sampled_from(["0", "1"]), st.integers().map(str)),
-)
-_response = st.lists(st.one_of(_action_line, st.text(max_size=30)), max_size=8).map("\n".join)
+
+
+@st.composite
+def _action_line(draw, coordinate=_coordinate, n_coords=st.sampled_from([8, 9, 9, 9, 10]),
+                 flag=st.one_of(st.sampled_from(["0", "1"]), st.integers().map(str))):
+    n = draw(n_coords)
+    tokens = draw(st.lists(coordinate, min_size=n, max_size=n)) + [draw(flag)]
+    gaps = draw(st.lists(st.text(_SPACES, min_size=1, max_size=2),
+                         min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    edges = st.text(_SPACES, max_size=2)
+    return draw(edges) + "".join(map(str.__add__, tokens, gaps + [""])) + draw(edges)
+
+
+# A line a well-formed block is made of: ten in-range tokens, a 0/1 flag.
+_clean_line = _action_line(_in_range, st.just(9), st.sampled_from(["0", "1"]))
+
+
+@st.composite
+def _response(draw):
+    lines = draw(st.lists(st.one_of(_clean_line, _action_line(), st.text(max_size=30)),
+                          max_size=8))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, breaks))
 
 
 class TestDecodeUntrusted:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_response)
+    @given(_response())
     @example("\n".join(["1" * 400 + " 0 0 0 0 0 0 0 0 0"] * 2))
     @example("99999 0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0 0 1")
     @example("\n".join(["0 0 0 0 0 0 0 0 0 0"] * (MAX_ACTION_LINES + 1)))
@@ -179,6 +229,35 @@ class TestDecodeUntrusted:
         assert len(decode_trajectory("\n".join([line] * MAX_ACTION_LINES))) == MAX_ACTION_LINES
         with pytest.raises(MalformedResponseError, match="longer than"):
             decode_trajectory("\n".join([line] * (MAX_ACTION_LINES + 1)) + "\nthat is all")
+
+
+class TestDecodeEquivalence:
+    """The decoder against the plain str.split reference in tests/oracles.py:
+    byte-equal trajectories, or MalformedResponseError from both."""
+
+    @staticmethod
+    def _same_as_reference(text):
+        try:
+            expected = reference_decode(text)
+        except MalformedResponseError:
+            with pytest.raises(MalformedResponseError):
+                decode_trajectory(text)
+            return
+        got = decode_trajectory(text).data
+        assert (got.shape, got.tobytes()) == (expected.data.shape, expected.data.tobytes())
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_response())
+    @example("-0\u3000+007 " + "9" * 5000 + " 1 2 3 4 5 6\t0\r\n0 0 0 0 0 0 0 0 0 1\x85")
+    @example("\xa01 2 3 4 5 6 7 8 9 1\x1f\u2028-1 -2 -3 -4 -5 -6 -7 -8 -9 0")
+    def test_matches_reference(self, text):
+        self._same_as_reference(text)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_BREAKS),
+           st.sampled_from([MAX_ACTION_LINES - 1, MAX_ACTION_LINES, MAX_ACTION_LINES + 1]))
+    def test_long_block_matches_reference(self, brk, n_lines):
+        self._same_as_reference(brk.join(["1\xa02 3 4 5 6 7 8 9 0"] * n_lines) + brk + "done")
 
 
 class TestInjectivity:
