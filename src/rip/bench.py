@@ -104,8 +104,9 @@ class SweepSettings:
     def __post_init__(self):
         if not self.cells() or min(self.q_values) < 1:
             raise ValueError(f"the sweep needs a nu and a Q, each Q >= 1; got Q {self.q_values}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 1 or self.master_seed < 0:
+            raise ValueError(f"trials must be >= 1 and the seed >= 0, "
+                             f"got {self.trials} and {self.master_seed}")
 
     def cells(self) -> list:
         return [(q, nu) for q in self.q_values for nu in self.nu_values]
@@ -220,6 +221,11 @@ class DownsampleBenchSettings:
     def __post_init__(self):
         if self.n_seeds < 1 or self.query_count < 1:
             raise ValueError(f"seeds and Q must be >= 1, got {self.n_seeds} and {self.query_count}")
+        # A target of 2 or more may still be below a task's masked steps,
+        # which only the run can tell.
+        if self.master_seed < 0 or self.target_len < 2:
+            raise ValueError(f"the seed must be >= 0 and the target length >= 2, "
+                             f"got {self.master_seed} and {self.target_len}")
 
 
 def run_downsample_trial(seed: int, method: str,

@@ -66,6 +66,8 @@ def _checked(kind, ok, rule: str):
 # it is no nu and no tolerance (no error could exceed it).
 _parse_nu = _checked(float, lambda v: v > 0, "nu must be a positive number or 'inf'")
 _parse_count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_parse_seed = _checked(int, lambda v: v >= 0, "seed must be an integer >= 0")
+_parse_target_len = _checked(int, lambda v: v >= 2, "target length must be an integer >= 2")
 _parse_tolerance = _checked(float, lambda v: 0 < v < math.inf,
                             "tolerance must be a finite positive number")
 
@@ -300,7 +302,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_downsample_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the gradient")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--configs", type=_parse_count, default=20)
     p.add_argument("--nu", type=_parse_nu, help="restrict to one nu (or 'inf')")
     p.add_argument("--tolerance", type=_parse_tolerance, default=1e-4)
@@ -309,7 +311,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="downsample a trajectory JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-len", type=int, default=30)
+    p.add_argument("--target-len", type=_parse_target_len, default=30)
     p.add_argument("--mode", choices=("g-based", "uniform"), default="g-based")
     p.set_defaults(func=cmd_preprocess)
 

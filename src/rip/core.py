@@ -12,7 +12,6 @@ write the rows directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,49 +24,44 @@ GRIPPER_CHANNEL = 9
 POSITION_CHANNELS = tuple(range(9))
 
 
-def _as_point(value, name: str) -> tuple[float, float, float]:
-    # Points arrive from files, so a non-numeric value is bad input, not a bug.
-    try:
-        pt = tuple(float(v) for v in value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidTrajectoryError(f"{name} is not a list of numbers: {exc}") from exc
-    if len(pt) != 3:
-        raise InvalidTrajectoryError(f"{name} must have 3 coordinates, got {len(pt)}")
-    if not all(math.isfinite(v) for v in pt):
-        raise InvalidTrajectoryError(f"{name} has non-finite coordinates: {pt}")
-    return pt
-
-
 @dataclass(frozen=True, eq=False)
-class _ActionArray:
-    """One read-only float64 array of actions, ``_NDIM`` axes deep.
+class _ReadOnlyArray:
+    """One read-only float64 array, ``_NDIM`` axes deep and ``_WIDTH`` wide.
 
     Built from any array-like in one vectorised pass: the last axis holds
-    10 channels, the step axis before it at least two steps, every value
-    is finite and the gripper channel is 0 or 1. The array is copied, so
-    the caller's stays theirs. Equality compares values only, and never
-    holds across subclasses.
+    ``_WIDTH`` values, the axis before it at least ``_MIN_ROWS`` rows, every
+    value is finite and, on 10-channel actions, the gripper channel is 0
+    or 1. The array is copied, so the caller's stays theirs. Equality
+    compares values only, and never holds across subclasses.
     """
 
     data: np.ndarray
     _NDIM = 0
+    _WIDTH = ACTION_DIM
+    _MIN_ROWS = 2
 
     def __post_init__(self):
+        name = type(self).__name__
         try:
             arr = np.array(self.data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidTrajectoryError(f"actions are not a numeric array: {exc}") from exc
-        if (arr.ndim != self._NDIM or arr.shape[-1] != ACTION_DIM or arr.shape[-2] < 2
-                or arr.size == 0):
-            want = "(T, 10)" if self._NDIM == 2 else "(Q, T, 10)"
-            raise InvalidTrajectoryError(f"actions must be {want} with T >= 2, got shape {arr.shape}")
+            raise InvalidTrajectoryError(f"{name} is not a numeric array: {exc}") from exc
+        if (arr.ndim != self._NDIM or arr.shape[-1] != self._WIDTH
+                or arr.shape[-2] < self._MIN_ROWS or arr.size == 0):
+            raise InvalidTrajectoryError(
+                f"{name} must have {self._NDIM} axes, the last {self._WIDTH} wide and the one "
+                f"before it at least {self._MIN_ROWS} long; got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise InvalidTrajectoryError("actions have non-finite values")
-        g = arr[..., GRIPPER_CHANNEL]
-        if not ((g == 0.0) | (g == 1.0)).all():
-            raise InvalidTrajectoryError("gripper state must be 0 or 1")
+            raise InvalidTrajectoryError(f"{name} has non-finite values")
+        if self._WIDTH == ACTION_DIM:
+            g = arr[..., GRIPPER_CHANNEL]
+            if not ((g == 0.0) | (g == 1.0)).all():
+                raise InvalidTrajectoryError("gripper state must be 0 or 1")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    def __len__(self) -> int:
+        return len(self.data)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -85,7 +79,7 @@ class _ActionArray:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory(_ActionArray):
+class Trajectory(_ReadOnlyArray):
     """Time-ordered sequence of at least two actions, stored as one
     read-only (T, 10) float64 array, one [p0, p1, p2, g] row per action.
 
@@ -94,9 +88,6 @@ class Trajectory(_ActionArray):
     """
 
     _NDIM = 2
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def __array__(self, dtype=None, copy=None):
         # Lets numpy read trajectories directly, e.g. to stack a bundle.
@@ -113,31 +104,18 @@ class Trajectory(_ActionArray):
         return tuple(self.data[:, GRIPPER_CHANNEL].astype(int).tolist())
 
 
-@dataclass(frozen=True)
-class KeypointSet:
-    """Fixed-size set of visual 3D keypoints (meters, world frame)."""
+@dataclass(frozen=True, eq=False)
+class KeypointSet(_ReadOnlyArray):
+    """Fixed-size set of at least one visual 3D keypoint (meters, world
+    frame), stored as one read-only (K, 3) float64 array."""
 
-    points: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        try:
-            raw = tuple(self.points)
-        except TypeError as exc:
-            raise InvalidTrajectoryError(f"keypoints are not a list of points: {exc}") from exc
-        pts = tuple(_as_point(p, f"keypoint[{i}]") for i, p in enumerate(raw))
-        if not pts:
-            raise InvalidTrajectoryError("a keypoint set needs at least one point")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
+    _NDIM = 2
+    _WIDTH = 3
+    _MIN_ROWS = 1
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryBundle(_ActionArray):
+class TrajectoryBundle(_ReadOnlyArray):
     """Q candidate trajectories resampled to a common length T, stored as
     one read-only (Q, T, 10) array.
 

@@ -195,6 +195,8 @@ class FitConfig:
         if self.batch_size < 1 or self.steps < 1 or not 0 < self.learning_rate < math.inf:
             raise ValueError("batch size, steps, and learning rate must be positive, "
                              "and the learning rate finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def gaussian(self) -> "FitConfig":
         return replace(self, nu=math.inf)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import KeypointSet, Trajectory, _as_point
+import numpy as np
+
+from .core import KeypointSet, Trajectory
 from .errors import InvalidTrajectoryError
 from .tokens import PolicyContext
 
@@ -34,8 +36,14 @@ def _row(action: dict) -> list:
     # (and -0.0 means 0: int() keeps a sign bit out of the array).
     if g not in (0, 1):
         raise InvalidTrajectoryError(f"gripper state must be 0 or 1, got {g!r}")
-    return [*_as_point(action["p0"], "p0"), *_as_point(action["p1"], "p1"),
-            *_as_point(action["p2"], "p2"), int(g)]
+    try:
+        points = np.array([action["p0"], action["p1"], action["p2"]], dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidTrajectoryError(f"p0, p1, p2 are not three lists of numbers: {exc}") from exc
+    if points.shape != (3, 3):
+        raise InvalidTrajectoryError(f"p0, p1, p2 must be 3 points of 3 coordinates, "
+                                     f"got shape {points.shape}")
+    return [*points.ravel().tolist(), int(g)]
 
 
 def trajectory_from_dict(obj: dict) -> Trajectory:
@@ -49,10 +57,10 @@ def trajectory_from_dict(obj: dict) -> Trajectory:
 def context_to_dict(context: PolicyContext) -> dict:
     return {
         "demonstrations": [
-            {**trajectory_to_dict(tr), "keypoints": [list(p) for p in kp.points]}
+            {**trajectory_to_dict(tr), "keypoints": kp.data.tolist()}
             for kp, tr in context.demonstrations
         ],
-        "query_keypoints": [list(p) for p in context.query_keypoints.points],
+        "query_keypoints": context.query_keypoints.data.tolist(),
     }
 
 

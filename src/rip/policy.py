@@ -69,6 +69,8 @@ class SyntheticOracleConfig:
     follow_context_demo: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.task_shape not in TASK_SHAPES:
             raise ValueError(f"task shape must be one of {TASK_SHAPES}, got {self.task_shape!r}")
         if not (0 <= self.noise_scale < math.inf and 0 <= self.hallucination_offset < math.inf):

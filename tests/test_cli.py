@@ -174,6 +174,8 @@ class TestParser:
         # Values refused by argparse and values refused by a config exit
         # alike, whether they come from a flag or from --config, and the
         # message never names a private parser.
+        from conftest import line_trajectory
+
         out = ["--out", str(tmp_path / "out")]
         aggregate = ["aggregate", "--report", str(tmp_path / "report")] + out
         remote = aggregate + ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1"]
@@ -181,6 +183,9 @@ class TestParser:
         # Small runs, so a --workers value that slipped through ends fast.
         tiny_sweep = sweep + ["--q-grid", "1", "--trials", "1", "--fit-steps", "1"]
         tiny_downsample = downsample + ["--seeds", "1", "--fit-steps", "1"]
+        src = tmp_path / "in.json"
+        jsonio.save_trajectory(line_trajectory(40), src)
+        preprocess = ["preprocess", "--input", str(src)] + out
         cases = [
             (aggregate, "q", "many"),
             (aggregate, "q", 0),
@@ -215,6 +220,14 @@ class TestParser:
             (tiny_sweep, "workers", 0),
             (tiny_downsample, "workers", -3),
             (tiny_downsample, "workers", "abc"),
+            (aggregate, "seed", -1),
+            (tiny_sweep, "seed", -1),
+            (tiny_downsample, "seed", -1),
+            (["gradcheck", "--configs", "1"], "seed", -1),
+            (tiny_downsample, "target_len", 0),
+            (tiny_downsample, "target_len", 1),
+            (preprocess, "target_len", 0),
+            (preprocess, "target_len", 1),
         ]
         failed = []
         for i, (argv, key, value) in enumerate(cases):

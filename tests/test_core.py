@@ -68,7 +68,7 @@ class TestTrajectory:
 
         tr = random_trajectory(rng, n=6)
         bundle = align_bundle([tr], 6)
-        for obj in (tr, bundle):
+        for obj in (tr, bundle, KeypointSet(rng.uniform(-0.5, 0.5, (4, 3)))):
             for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
                 assert clone == obj
                 with pytest.raises(ValueError):
@@ -81,6 +81,10 @@ class TestTrajectory:
         assert Trajectory(bumped) != tr
         bundle = TrajectoryBundle([tr])
         assert tr != bundle and bundle != tr
+        # A (K, 3) keypoint set is no (T, 10) trajectory, whatever its values.
+        kp = KeypointSet(tr.data[:, :3])
+        assert kp == KeypointSet(tr.data[:, :3].tolist())
+        assert kp != KeypointSet(bumped[:, :3]) and kp != tr and tr != kp
 
 
 # Constructors called directly with bad values raise only the library's
@@ -292,10 +296,20 @@ class TestJsonIO:
         assert np.allclose(back.query_keypoints.to_array(), ctx.query_keypoints.to_array())
 
     def test_malformed_rejected(self, tmp_path):
+        from conftest import keypoints
+        from rip.tokens import PolicyContext
+
         path = tmp_path / "bad.json"
         path.write_text('{"actions": [{"p0": [0,0,0]}]}')
         with pytest.raises(InvalidTrajectoryError):
             jsonio.load_trajectory(path)
+        # A keypoint written as three characters is no point either.
+        ctx = jsonio.context_to_dict(PolicyContext(((keypoints(1, 1), line_trajectory(3)),),
+                                                   keypoints(1, 2)))
+        ctx["query_keypoints"] = ["123"]
+        jsonio.save_json(ctx, path)
+        with pytest.raises(InvalidTrajectoryError):
+            jsonio.load_context(path)
 
     @pytest.mark.parametrize("content", [b'{"actions": [{"p0": [0, 0', b'\xff\xfe{}', b''],
                              ids=["truncated", "not-utf8", "empty"])
@@ -317,11 +331,15 @@ class TestJsonIO:
         ({"p0": [float("inf"), 0, 0]}, False),
         ({"p1": [0.0, 0.0]}, False),
         ({"p2": [0.0, 0.0, 0.0, 0.0]}, False),
+        # Three characters or three keys are still no point.
+        ({"p0": "123"}, False),
+        ({"p0": {"1": 0, "2": 0, "3": 0}}, False),
         ({}, True),
         ({"g": True}, True),
         ({"g": 1.0}, True),
     ], ids=["gripper-0.5", "gripper-2", "gripper-str", "nan", "inf", "2-coords",
-            "4-coords", "roundtrip", "gripper-true", "gripper-float"])
+            "4-coords", "point-str", "point-object", "roundtrip", "gripper-true",
+            "gripper-float"])
     def test_action_object(self, change, loads):
         rows = np.stack([make_action(0.1, -0.2, 0.3, g=1), make_action()])
         obj = jsonio.trajectory_to_dict(Trajectory(rows))
