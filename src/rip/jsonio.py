@@ -1,6 +1,7 @@
 """JSON serialization for trajectories and policy contexts.
 
-Wire format (lengths in meters, plain decimal numbers):
+Wire format (lengths in meters, plain decimal numbers; a coordinate that
+is a string or a boolean is refused):
 
     trajectory file:     {"actions": [{"p0": [x,y,z], "p1": [x,y,z],
                                        "p2": [x,y,z], "g": 0|1}, ...]}
@@ -30,19 +31,30 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
                         for r in trajectory.data.tolist()]}
 
 
+def _points(value, what: str) -> np.ndarray:
+    """A non-empty JSON list of [x, y, z] points as an (n, 3) float array.
+
+    Only JSON numbers are coordinates. A string is refused, "1" included,
+    and so is a boolean: JSON does not count true as a number.
+    """
+    if not (isinstance(value, list) and value and all(
+            isinstance(p, list) and len(p) == 3
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
+            for p in value)):
+        raise InvalidTrajectoryError(f"{what} must be a list of [x, y, z] lists of numbers")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidTrajectoryError(f"{what}: {exc}") from exc
+
+
 def _row(action: dict) -> list:
     g = action["g"]
     # Equality, not conversion: "1" is rejected, while true and 1.0 mean 1
     # (and -0.0 means 0: int() keeps a sign bit out of the array).
     if g not in (0, 1):
         raise InvalidTrajectoryError(f"gripper state must be 0 or 1, got {g!r}")
-    try:
-        points = np.array([action["p0"], action["p1"], action["p2"]], dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise InvalidTrajectoryError(f"p0, p1, p2 are not three lists of numbers: {exc}") from exc
-    if points.shape != (3, 3):
-        raise InvalidTrajectoryError(f"p0, p1, p2 must be 3 points of 3 coordinates, "
-                                     f"got shape {points.shape}")
+    points = _points([action["p0"], action["p1"], action["p2"]], "p0, p1, p2")
     return [*points.ravel().tolist(), int(g)]
 
 
@@ -68,9 +80,9 @@ def context_from_dict(obj: dict) -> PolicyContext:
     if not isinstance(obj, dict) or "query_keypoints" not in obj:
         raise InvalidTrajectoryError("context object lacks a 'query_keypoints' field")
     try:
-        demos = tuple((KeypointSet(d["keypoints"]), trajectory_from_dict(d))
+        demos = tuple((KeypointSet(_points(d["keypoints"], "keypoints")), trajectory_from_dict(d))
                       for d in obj.get("demonstrations", []))
-        query = KeypointSet(obj["query_keypoints"])
+        query = KeypointSet(_points(obj["query_keypoints"], "query keypoints"))
     except (KeyError, TypeError) as exc:
         raise InvalidTrajectoryError(f"malformed context object: {exc!r}") from exc
     return PolicyContext(demonstrations=demos, query_keypoints=query)

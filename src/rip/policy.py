@@ -21,13 +21,14 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import KeypointSet, Trajectory, resample_trajectory
 from .errors import MalformedResponseError, TransportError
-from .tokens import PolicyContext, decode_trajectory, encode_context
+from .tokens import PolicyContext, decode_trajectory, encode_context, has_action_block
 
 TASK_SHAPES = ("reach", "push", "pick")
 # Keypoints per set in a synthetic task's demonstrations and query.
@@ -306,6 +307,37 @@ class _QueryAudit:
                 fh.write(line + "\n")
 
 
+class _FirstWave:
+    """The first requests of one sampling call that are still in flight.
+
+    A slot whose first response holds an action block decodes only once no
+    first request is in flight, so a slot whose first attempt failed posts
+    its retry while the others wait without the interpreter lock. Only
+    started requests count and retries never wait, so a serial executor or
+    a pool smaller than Q cannot deadlock.
+    """
+
+    def __init__(self):
+        self._open = 0
+        self._done = threading.Condition()
+
+    @contextmanager
+    def request(self):
+        with self._done:
+            self._open += 1
+        try:
+            yield
+        finally:
+            with self._done:
+                self._open -= 1
+                if not self._open:
+                    self._done.notify_all()
+
+    def wait(self):
+        with self._done:
+            self._done.wait_for(lambda: not self._open)
+
+
 def _extract_completion(payload: dict) -> str:
     if isinstance(payload.get("completion"), str):
         return payload["completion"]
@@ -347,16 +379,23 @@ class RemotePolicyClient:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def query_one(self, prompt: str, index: int) -> SampleResult:
+    def query_one(self, prompt: str, index: int, wave: _FirstWave | None = None) -> SampleResult:
+        """Query one slot, retrying failed attempts. ``wave`` is shared by
+        the slots of one sampling call; alone, a slot never waits."""
         cfg = self._config
+        wave = wave or _FirstWave()
         body = {"model": cfg.model, "prompt": prompt, "temperature": cfg.temperature, "n": 1}
         attempts = 0
         last_error = ""
         for attempt in range(cfg.max_retries + 1):
             attempts = attempt + 1
+            first = attempt == 0
             try:
-                payload = self._post(cfg.endpoint, body, cfg.timeout_s, self._headers())
+                with wave.request() if first else nullcontext():
+                    payload = self._post(cfg.endpoint, body, cfg.timeout_s, self._headers())
                 text = _extract_completion(payload)
+                if first and has_action_block(text):
+                    wave.wait()
                 trajectory = decode_trajectory(text)
                 self._log(index, attempts, body, response=text[:2000], error=None)
                 return SampleResult(index, trajectory, "ok", attempts=attempts)
@@ -423,8 +462,9 @@ def sample_with_client(
     """Remote sampling with an injected client (testing seam)."""
     prompt = encode_context(context, preamble=config.preamble)
     q = config.query_count
+    wave = _FirstWave()
     with ThreadPoolExecutor(max_workers=min(q, _MAX_QUERY_THREADS)) as pool:
-        futures = [pool.submit(client.query_one, prompt, i) for i in range(q)]
+        futures = [pool.submit(client.query_one, prompt, i, wave) for i in range(q)]
         results = [f.result() for f in futures]
     statuses = [r.status for r in results]
     if "ok" not in statuses and "transport-error" in statuses:

@@ -100,6 +100,19 @@ def encode_context(context: PolicyContext, preamble: str | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
+def has_action_block(text: str) -> bool:
+    """Whether ``text`` holds two consecutive action lines, which
+    ``decode_trajectory`` needs to succeed. False means it would raise the
+    "no action block found" error; True does not mean it decodes."""
+    previous = False
+    for line in text.splitlines():
+        current = _ACTION_LINE.fullmatch(line) is not None
+        if previous and current:
+            return True
+        previous = current
+    return False
+
+
 def decode_trajectory(text: str) -> Trajectory:
     """Parse the first well-formed action block out of untrusted model output.
 

@@ -334,12 +334,19 @@ class TestJsonIO:
         # Three characters or three keys are still no point.
         ({"p0": "123"}, False),
         ({"p0": {"1": 0, "2": 0, "3": 0}}, False),
+        # Only JSON numbers are coordinates: no numeric strings, no booleans.
+        ({"p0": ["1", "2", "3"]}, False),
+        ({"p2": [0.0, 0.0, " 1e0"]}, False),
+        ({"p1": [True, 0.0, 0.0]}, False),
+        ({"p0": [10**400, 0, 0]}, False),
         ({}, True),
         ({"g": True}, True),
         ({"g": 1.0}, True),
+        ({"p0": [0.1, -0.2, 0.3]}, True),
     ], ids=["gripper-0.5", "gripper-2", "gripper-str", "nan", "inf", "2-coords",
-            "4-coords", "point-str", "point-object", "roundtrip", "gripper-true",
-            "gripper-float"])
+            "4-coords", "point-str", "point-object", "coord-str", "coord-str-exp",
+            "coord-bool", "coord-overflow", "roundtrip", "gripper-true", "gripper-float",
+            "coord-list"])
     def test_action_object(self, change, loads):
         rows = np.stack([make_action(0.1, -0.2, 0.3, g=1), make_action()])
         obj = jsonio.trajectory_to_dict(Trajectory(rows))
@@ -349,6 +356,23 @@ class TestJsonIO:
         else:
             with pytest.raises(InvalidTrajectoryError):
                 jsonio.trajectory_from_dict(obj)
+
+    @pytest.mark.parametrize("point", [[" 1e0", "2", 3], ["1", "2", "3"], [True, 0, 0],
+                                       [0, 0, False]],
+                             ids=["str-exp", "str", "true", "false"])
+    @pytest.mark.parametrize("field", ["query_keypoints", "demo_keypoints"])
+    def test_keypoint_coordinates_must_be_numbers(self, point, field):
+        from conftest import keypoints
+        from rip.tokens import PolicyContext
+
+        ctx = jsonio.context_to_dict(PolicyContext(((keypoints(2, 1), line_trajectory(3)),),
+                                                   keypoints(2, 2)))
+        holder = ctx if field == "query_keypoints" else ctx["demonstrations"][0]
+        key = "query_keypoints" if field == "query_keypoints" else "keypoints"
+        assert isinstance(jsonio.context_from_dict(ctx), PolicyContext)
+        holder[key][1] = point
+        with pytest.raises(InvalidTrajectoryError, match="numbers"):
+            jsonio.context_from_dict(ctx)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_damaged(_valid_trajectory))

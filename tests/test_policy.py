@@ -326,6 +326,128 @@ class TestRemoteClient:
         assert record["request"]["prompt"] == "prompt text"
 
 
+
+def _bounded(fn, timeout=30.0):
+    """fn() in a daemon thread: its result, or its exception re-raised.
+    A call still running after ``timeout`` seconds fails the test."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestFirstWave:
+    """A slot decodes once no first request is in flight; a slot whose
+    first attempt failed retries at once."""
+
+    @pytest.mark.parametrize("fault", ["reset", "malformed"])
+    def test_failed_slot_retries_before_any_decode(self, monkeypatch, fault):
+        ctx, consensus = make_consensus_task(0, "reach")
+        good = fake_completion(consensus)
+        retried = {"completion": good["completion"] + "\nOn a second try."}
+        q = 4
+        # First-wave delays by call order; the second call fails.
+        delays = [0.02, 0.06, 0.10, 0.14]
+        lock = threading.Lock()
+        posts = []  # (start, end) per call, in call order
+        decodes = []  # (start, text)
+
+        def post(url, body, timeout, headers):
+            start = time.perf_counter()
+            with lock:
+                n = len(posts)
+                posts.append(None)
+            time.sleep(delays[n] if n < q else 0.01)
+            posts[n] = (start, time.perf_counter())
+            if n == q:
+                return retried
+            if n == 1 and fault == "reset":
+                raise OSError("connection reset")
+            return {"completion": "I cannot."} if n == 1 else good
+
+        decode = rip.policy.decode_trajectory
+
+        def timed_decode(text):
+            decodes.append((time.perf_counter(), text))
+            return decode(text)
+
+        monkeypatch.setattr("rip.policy.decode_trajectory", timed_decode)
+        client = RemotePolicyClient(remote_config(max_retries=1), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=q, remote=remote_config())
+        results = _bounded(lambda: sample_with_client(ctx, cfg, client))
+        assert [r.status for r in results] == ["ok"] * q
+        assert sorted(r.attempts for r in results) == [1, 1, 1, 2]
+        assert len(posts) == q + 1
+        # The three good first responses decode after the last first
+        # response; the failed slot's retry posts before any of them.
+        good_decodes = [t for t, text in decodes if text == good["completion"]]
+        assert len(good_decodes) == q - 1
+        assert min(good_decodes) >= max(end for _, end in posts[:q])
+        assert posts[q][0] < min(good_decodes)
+
+    def test_an_escaping_error_does_not_hang_the_other_slots(self):
+        # A JSON-list payload raises AttributeError out of its slot, which
+        # ends the call; the slots waiting on the first wave must not hang.
+        ctx, consensus = make_consensus_task(0, "reach")
+        good = fake_completion(consensus)
+        lock = threading.Lock()
+        calls = []
+
+        def post(url, body, timeout, headers):
+            with lock:
+                calls.append(url)
+                n = len(calls)
+            time.sleep(0.01 * n)
+            return ["not", "a", "completion"] if n == 2 else good
+
+        client = RemotePolicyClient(remote_config(), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=5, remote=remote_config())
+        with pytest.raises(AttributeError):
+            _bounded(lambda: sample_with_client(ctx, cfg, client))
+
+    def test_more_slots_than_threads(self):
+        # 40 slots on 32 threads: later slots start while earlier ones wait
+        # on the first wave. Every fifth of the first 32 calls fails, and a
+        # short switch interval preempts the gate's updates often; a lost
+        # update hangs.
+        ctx, consensus = make_consensus_task(0, "reach")
+        reply = fake_completion(consensus)
+        lock = threading.Lock()
+        calls = []
+
+        def post(url, body, timeout, headers):
+            with lock:
+                calls.append(url)
+                n = len(calls)
+            time.sleep(0.02)
+            if n <= 32 and n % 5 == 0:
+                raise OSError("connection reset")
+            return reply
+
+        client = RemotePolicyClient(remote_config(), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=40, remote=remote_config())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _bounded(lambda: sample_with_client(ctx, cfg, client))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.index for r in results] == list(range(40))
+        assert all(r.ok for r in results)
+        assert sum(r.attempts for r in results) == len(calls)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Serves ``self.server.replies[path]``: (status, body, declared length)."""
 

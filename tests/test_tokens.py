@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,7 @@ from oracles import reference_decode, reference_encode_context
 
 from rip.core import Trajectory
 from rip.errors import CoordinateRangeError, InvalidTrajectoryError, MalformedResponseError
-from rip.policy import make_consensus_task
+from rip.policy import RemoteConfig, RemotePolicyClient, make_consensus_task
 from rip.tokens import (
     MAX_ACTION_LINES,
     MAX_COORDINATE_M,
@@ -18,6 +21,7 @@ from rip.tokens import (
     default_preamble,
     encode_action_block,
     encode_context,
+    has_action_block,
     quantize_mm,
 )
 
@@ -258,6 +262,52 @@ class TestDecodeEquivalence:
            st.sampled_from([MAX_ACTION_LINES - 1, MAX_ACTION_LINES, MAX_ACTION_LINES + 1]))
     def test_long_block_matches_reference(self, brk, n_lines):
         self._same_as_reference(brk.join(["1\xa02 3 4 5 6 7 8 9 0"] * n_lines) + brk + "done")
+
+
+
+class TestActionBlockPrecheck:
+    """``has_action_block`` lets a remote slot retry early, so it must never
+    refuse a text the decoder accepts, and a refused text must fail as the
+    decoder fails it."""
+
+    @staticmethod
+    def _agrees_with_decoder(text):
+        try:
+            decode_trajectory(text)
+        except MalformedResponseError as exc:
+            error = str(exc)
+        else:
+            assert has_action_block(text)
+            return
+        if has_action_block(text):
+            return
+        assert error.startswith("no action block found")
+        # The slot's detail is the decoder's message, as without the pre-check.
+        client = RemotePolicyClient(RemoteConfig("https://policy.example", max_retries=0),
+                                    post_fn=lambda *args: {"completion": text})
+        result = client.query_one("prompt", 0)
+        assert (result.status, result.detail, result.attempts) == ("malformed", error, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_response())
+    @example("prose\n1 2 3 4 5 6 7 8 9 0\nprose\n1 2 3 4 5 6 7 8 9 0")
+    @example("1 2 3 4 5 6 7 8 9 0\u20281 2 3 4 5 6 7 8 9 1")
+    def test_never_refuses_a_decodable_text(self, text):
+        self._agrees_with_decoder(text)
+
+    def test_benchmark_completions(self, monkeypatch):
+        # The remote benchmark's served completions, seeds 0-59, and its
+        # malformed first response.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        episodes = importlib.import_module("episodes")
+        stub = importlib.import_module("stub")
+        texts = [stub.MALFORMED["completion"]]
+        for seed in range(60):
+            texts += [stub.action_text(ints) for ints in episodes.remote_inputs(seed).served]
+        assert len(texts) == 601
+        for text in texts:
+            self._agrees_with_decoder(text)
+        assert sum(map(has_action_block, texts)) == 600
 
 
 class TestInjectivity:
