@@ -33,7 +33,7 @@ from .estimator import (
     log_density,
     log_gamma,
 )
-from .pipeline import RunReport, run_rip, run_rip_gauss, single_sample
+from .pipeline import RunReport, run_rip, single_sample
 from .policy import (
     PolicyConfig,
     RemoteConfig,
@@ -79,7 +79,6 @@ __all__ = [
     "mask_key_steps",
     "resample_trajectory",
     "run_rip",
-    "run_rip_gauss",
     "sample_trajectories",
     "single_sample",
     "uniform_downsample",

@@ -1,7 +1,7 @@
 """Benchmark CLI: aggregation runs, design sweeps, and verification.
 
 Subcommands:
-    aggregate         run rip / rip_gauss / single_sample on a context
+    aggregate         run rip (nu = inf: rip_gauss) or single_sample on a context
     sweep             success-rate grid over query count and tail weight
     downsample-bench  mask-based vs uniform demonstration thinning
     gradcheck         finite-difference audit of the analytic gradient
@@ -23,7 +23,7 @@ from pathlib import Path
 from . import bench, jsonio
 from .errors import RipError
 from .estimator import FitConfig, gradient_check
-from .pipeline import run_rip, run_rip_gauss, single_sample
+from .pipeline import run_rip, single_sample
 from .policy import (
     PolicyConfig,
     RemoteConfig,
@@ -171,8 +171,6 @@ def cmd_aggregate(args) -> int:
 
     if args.method == "rip":
         trajectory, report = run_rip(context, policy, fit_cfg)
-    elif args.method == "rip_gauss":
-        trajectory, report = run_rip_gauss(context, policy, fit_cfg)
     else:
         trajectory = single_sample(context, policy)
         report = None
@@ -266,7 +264,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aggregate", help="run one aggregation and write the trajectory")
-    p.add_argument("--method", choices=("rip", "rip_gauss", "single_sample"), default="rip")
+    p.add_argument("--method", choices=("rip", "single_sample"), default="rip")
     _add_flags(p, _POLICY_FLAGS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", help="context JSON path (default: generate a synthetic task)")
@@ -330,7 +328,7 @@ def _apply_config_file(argv):
     rest = argv[:i] + argv[i + 2:]
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")

@@ -18,7 +18,7 @@ fitted estimator, its evaluation and serialization, and the logged loss.
 Each training step writes its forward pass, likelihood terms and Adam
 update into buffers allocated once per fit, and the full-bundle loss is
 evaluated only at the last points of the log schedule, the ones the fit's
-trace keeps (see ``FitTrace``).
+loss curve keeps (see ``fit_array``).
 
 The analytic gradient runs the training step's own gradient function in
 float64, so the finite-difference check in the bench CLI and tests
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,10 @@ _TRAIN_DTYPE = np.float32
 VAR_FLOOR = 1e-6
 
 # Loss points at the end of a fit that a run report keeps; fit_array always
-# evaluates at least these (see FitTrace).
+# evaluates at least these.
 REPORT_TAIL = 20
+
+FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
 
 
 def log_gamma(x):
@@ -175,7 +177,7 @@ class FitConfig:
 
     Immutable and hashable, like the other config types, so an instance can
     serve as a dataclass field default. Derive variants with
-    ``dataclasses.replace``, as ``gaussian()`` does.
+    ``dataclasses.replace``; ``nu=math.inf`` is the Gaussian ablation.
     """
 
     hidden: tuple[int, int] = (64, 64)
@@ -197,9 +199,6 @@ class FitConfig:
                              "and the learning rate finite")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def gaussian(self) -> "FitConfig":
-        return replace(self, nu=math.inf)
 
 
 @dataclass(eq=False)
@@ -453,27 +452,17 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     return views
 
 
-@dataclass
-class FitTrace:
-    """Training diagnostics kept alongside a fitted estimator.
-
-    ``loss_curve`` holds (step, full-bundle NLL) pairs at the last
-    ``max(REPORT_TAIL, 2 * tail_n)`` points of the fit's log schedule
-    (every ``max(1, steps // 200)`` steps plus the last step, n points,
-    with ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
-    step is always included. That is 40 of the 200 points at 3,000 or
-    4,000 steps, and all 7 at 7 steps.
-    """
-
-    loss_curve: list
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss_curve[-1][1]
-
-
-def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
+def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, list]:
     """Seeded minibatch Adam on the NLL of a (Q, T, D) array over grid (T,).
+
+    Returns the fitted estimator and its loss curve: (step, full-bundle
+    NLL) pairs at the last ``max(REPORT_TAIL, 2 * tail_n)`` points of the
+    log schedule (every ``max(1, steps // 200)`` steps plus the last step,
+    n points, with ``tail_n = max(1, n // 10)``), or all n when n is
+    smaller; the last step is always included. That is 40 of the 200
+    points at 3,000 or 4,000 steps, and all 7 at 7 steps. Only those
+    points are evaluated: the report reads the last ``REPORT_TAIL``, and
+    the "still moving" warning compares the last two tenths.
 
     The loop trains a float32 copy of the parameters on float32 data,
     features, gradients, Adam moments and pass buffers, which makes a fit
@@ -481,13 +470,10 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     precision suffices). Each step writes its forward pass, likelihood
     terms and Adam update into buffers allocated once per fit (the
     backward pass's hidden-layer gradients are still allocated: buffering
-    them measured no faster). Initialisation and standardization run in float64, and so does
-    the logged loss, evaluated only at the schedule points that
-    ``FitTrace.loss_curve`` keeps (see there): the report reads the last
-    ``REPORT_TAIL``, and the "still moving" warning compares the
-    schedule's last tenth with the tenth before it. The float32
-    parameters are copied into the returned estimator's float64 ``theta``
-    before each evaluation, so it ends holding the trained parameters.
+    them measured no faster). Initialisation, standardization and the
+    logged loss run in float64. The float32 parameters are copied into the
+    returned estimator's float64 ``theta`` before each evaluation, so it
+    ends holding the trained parameters.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -546,9 +532,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     bufs = _step_buffers(config.hidden, n_t, onehot.shape[1], n_d, _TRAIN_DTYPE)
     chunk_size = 512
 
-    # The loss schedule: every log_every steps and the last step, n_logs
-    # points. Only its last `window` points are evaluated: the report keeps
-    # REPORT_TAIL and the warning below compares the last two tenths.
+    # The loss schedule of the docstring; only its last `window` points run.
     log_every = max(1, config.steps // 200)
     n_logs = -(-config.steps // log_every)
     tail_n = max(1, n_logs // 10)
@@ -614,11 +598,11 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
                 "consider more steps", prev, tail,
             )
 
-    return est, FitTrace(curve)
+    return est, curve
 
 
-def fit_with_trace(bundle: TrajectoryBundle, config: FitConfig) -> tuple[StudentTEstimator, FitTrace]:
-    """Fit the estimator to an aligned bundle; see FitConfig for knobs."""
+def fit_with_trace(bundle: TrajectoryBundle, config: FitConfig) -> tuple[StudentTEstimator, list]:
+    """``fit_array`` on an aligned bundle: the estimator and its loss curve."""
     return fit_array(bundle.data, bundle.grid(), config)
 
 
@@ -645,7 +629,7 @@ def extract_mean(estimator: StudentTEstimator, grid) -> Trajectory:
 
 
 def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
-                               estimator: StudentTEstimator, step: float = 1e-5) -> dict:
+                               estimator: StudentTEstimator) -> dict:
     """Central-difference gradient of the total NLL, for verification.
 
     Perturbs ``estimator.theta`` in place one entry at a time and restores
@@ -655,17 +639,17 @@ def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
     g = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + step
+        theta[i] = orig + FD_STEP
         hi = nll_loss_array(data, grid, estimator)
-        theta[i] = orig - step
+        theta[i] = orig - FD_STEP
         lo = nll_loss_array(data, grid, estimator)
         theta[i] = orig
-        g[i] = (hi - lo) / (2.0 * step)
+        g[i] = (hi - lo) / (2.0 * FD_STEP)
     return _flat_params(estimator.hidden, estimator.n_channels, g)[1]
 
 
 def gradient_check(seed: int = 0, n_configs: int = 20,
-                   nus=(1.25, 1.5, 3.0, math.inf), step: float = 1e-5) -> float:
+                   nus=(1.25, 1.5, 3.0, math.inf)) -> float:
     """Max per-parameter relative error between analytic and central-
     difference gradients over randomized small configurations."""
     if n_configs < 1:
@@ -690,7 +674,7 @@ def gradient_check(seed: int = 0, n_configs: int = 20,
                                 channel_shift=rng.normal(0.0, 1.0, n_d),
                                 channel_scale=rng.uniform(0.5, 2.0, n_d))
         analytic = loss_gradient_array(data, grid, est)
-        numeric = finite_difference_gradient(data, grid, est, step=step)
+        numeric = finite_difference_gradient(data, grid, est)
         for k in PARAM_KEYS:
             denom = np.maximum(np.abs(numeric[k]), 1e-6)
             rel = np.abs(analytic[k] - numeric[k]) / denom

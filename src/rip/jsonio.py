@@ -95,7 +95,7 @@ def save_json(obj: dict, path) -> None:
 def load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
         raise InvalidTrajectoryError(f"{path} is not a JSON file: {exc}") from exc
 
 

@@ -1,10 +1,9 @@
 """End-to-end aggregation: sample Q candidates, align, fit, extract.
 
-``run_rip`` is the full robust path; ``run_rip_gauss`` is the same call
-with ``nu=inf``, the ablation that swaps the heavy-tailed likelihood for a
-Gaussian; ``single_sample`` is the no-aggregation baseline of one raw
-policy query. Each aggregating run produces a RunReport so benchmark runs
-are auditable and replayable.
+``run_rip`` is the full robust path, and with ``nu=inf`` the ablation that
+swaps the heavy-tailed likelihood for a Gaussian; ``single_sample`` is the
+no-aggregation baseline of one raw policy query. Each aggregating run
+produces a RunReport so benchmark runs are auditable and replayable.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def run_rip(context: PolicyContext, policy: PolicyConfig,
     bundle = align_bundle(decoded, target_len)
     t_align = time.perf_counter()
 
-    estimator, trace = fit_with_trace(bundle, fit_cfg)
+    estimator, loss_curve = fit_with_trace(bundle, fit_cfg)
     t_fit = time.perf_counter()
 
     trajectory = extract_mean(estimator, bundle.grid())
@@ -81,8 +80,8 @@ def run_rip(context: PolicyContext, policy: PolicyConfig,
         sample_status=[s.status for s in samples],
         decoded_count=len(decoded),
         bundle_length=bundle.length,
-        final_loss=trace.final_loss,
-        loss_curve_tail=trace.loss_curve[-REPORT_TAIL:],
+        final_loss=loss_curve[-1][1],
+        loss_curve_tail=loss_curve[-REPORT_TAIL:],
         timings={
             "sample_s": t_sample - t0,
             "align_s": t_align - t_sample,
@@ -93,12 +92,6 @@ def run_rip(context: PolicyContext, policy: PolicyConfig,
         config_echo={"policy": asdict(policy), "fit": asdict(fit_cfg)},
     )
     return trajectory, report
-
-
-def run_rip_gauss(context: PolicyContext, policy: PolicyConfig,
-                  fit_cfg: FitConfig) -> tuple[Trajectory, RunReport]:
-    """Gaussian ablation: ``run_rip`` with the tails turned off (nu=inf)."""
-    return run_rip(context, policy, fit_cfg.gaussian())
 
 
 def single_sample(context: PolicyContext, policy: PolicyConfig) -> Trajectory:

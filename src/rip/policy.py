@@ -357,7 +357,11 @@ def _default_post(url: str, body: dict, timeout: float, headers: dict) -> dict:
     request = urllib.request.Request(url, data=json.dumps(body).encode(),
                                      headers=headers, method="POST")
     with urllib.request.urlopen(request, timeout=timeout) as resp:
-        return json.loads(resp.read())
+        raw = resp.read()
+    try:
+        return json.loads(raw)
+    except RecursionError as exc:  # nested deeper than the parser goes: not JSON to us
+        raise ValueError(f"response JSON is nested too deeply: {exc}") from exc
 
 
 class RemotePolicyClient:

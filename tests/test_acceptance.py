@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from rip.estimator import (
     nll_loss_array,
     t_log_pdf,
 )
-from rip.pipeline import run_rip, run_rip_gauss
+from rip.pipeline import run_rip
 from rip.policy import (
     PolicyConfig,
     SyntheticOracleConfig,
@@ -150,7 +151,7 @@ def criterion_5_seed(seed):
     policy = PolicyConfig(backend="synthetic", query_count=5, synthetic=oracle_cfg)
     fit_cfg = FitConfig(steps=3000, seed=seed)
     traj_t, _ = run_rip(ctx, policy, fit_cfg)
-    traj_g, _ = run_rip_gauss(ctx, policy, fit_cfg)
+    traj_g, _ = run_rip(ctx, policy, replace(fit_cfg, nu=math.inf))
     rmse_t = trajectory_rmse(traj_t, consensus)
     rmse_g = trajectory_rmse(traj_g, consensus)
     first = sample_trajectories(ctx, policy)[0].trajectory

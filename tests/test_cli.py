@@ -1,17 +1,23 @@
 import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rip import bench, jsonio
-from rip.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, build_parser, main
+from rip.cli import EXIT_OK, EXIT_RUNTIME, EXIT_THRESHOLD, EXIT_USAGE, build_parser, main
 from rip.estimator import FitConfig
 from rip.policy import PolicyConfig, RemoteConfig, SyntheticOracleConfig
 
 
 def run(argv):
     return main(argv)
+
+
+# Nesting deeper than the json parser's recursion limit.
+DEEP_JSON = b"[" * 100_000
 
 
 class TestAggregate:
@@ -27,23 +33,17 @@ class TestAggregate:
     def test_zero_queries_is_usage_error(self, tmp_path):
         assert run(["aggregate", "--q", "0", "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
 
-    def test_rip_gauss_alias(self, tmp_path):
-        # The ablation is nu = inf: same trajectory bytes, same report but
-        # for the wall-clock timings and the output path.
-        base = ["--backend", "synthetic", "--seed", "3", "--q", "4",
-                "--fit-steps", "600", "--noise-scale", "0.003"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        ra, rb = tmp_path / "ra.json", tmp_path / "rb.json"
-        assert run(["aggregate", "--method", "rip_gauss", "--out", str(a),
-                    "--report", str(ra)] + base) == EXIT_OK
-        assert run(["aggregate", "--method", "rip", "--nu", "inf", "--out", str(b),
-                    "--report", str(rb)] + base) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-        reports = [json.loads(r.read_text()) for r in (ra, rb)]
-        for r in reports:
-            del r["timings"], r["output_trajectory_path"]
-        assert reports[0] == reports[1]
-        assert reports[0]["method"] == "rip_gauss"
+    def test_rip_gauss_is_no_method(self, tmp_path):
+        # The Gaussian ablation is --nu inf, not a method of its own.
+        assert run(["aggregate", "--method", "rip_gauss",
+                    "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+
+    def test_infinite_nu_reports_rip_gauss(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(["aggregate", "--method", "rip", "--nu", "inf", "--backend", "synthetic",
+                    "--seed", "3", "--q", "4", "--fit-steps", "600", "--noise-scale", "0.003",
+                    "--out", str(tmp_path / "t.json"), "--report", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["method"] == "rip_gauss"
 
     def test_single_sample_method(self, tmp_path):
         out = tmp_path / "s.json"
@@ -65,6 +65,12 @@ class TestAggregate:
     def test_remote_requires_endpoint(self, tmp_path):
         assert run(["aggregate", "--backend", "remote",
                     "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+
+    def test_deeply_nested_context_is_runtime_error(self, tmp_path):
+        ctx = tmp_path / "ctx.json"
+        ctx.write_bytes(DEEP_JSON)
+        assert run(["aggregate", "--context", str(ctx),
+                    "--out", str(tmp_path / "t.json")]) == EXIT_RUNTIME
 
 
 class TestSweep:
@@ -144,6 +150,12 @@ class TestPreprocess:
         assert run(["preprocess", "--input", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_deeply_nested_input_is_runtime_error(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_bytes(DEEP_JSON)
+        assert run(["preprocess", "--input", str(src),
+                    "--out", str(tmp_path / "o.json")]) == EXIT_RUNTIME
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -165,10 +177,35 @@ class TestConfigFile:
         assert run(["gradcheck", "--config", str(cfg)]) == EXIT_USAGE
         assert run(["gradcheck", "--config"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("content", [DEEP_JSON, b'{"configs": "\xff"}'],
+                             ids=["nested-too-deep", "not-utf8"])
+    def test_unparsable_config_is_usage_error(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run(["gradcheck", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def readme_commands():
+    """The arguments of each ``rip-bench`` command in README's CLI block,
+    with continuation lines joined and comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rip-bench ")]
+
 
 class TestParser:
     def test_unknown_command_is_usage_error(self):
         assert run(["fly-to-the-moon"]) == EXIT_USAGE
+
+    def test_readme_commands_parse(self):
+        # Parsed, not run: the documented commands name no removed flag
+        # or choice.
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "aggregate", "aggregate", "sweep", "downsample-bench", "gradcheck", "preprocess"]
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys):
         # Values refused by argparse and values refused by a config exit

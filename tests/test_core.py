@@ -311,8 +311,9 @@ class TestJsonIO:
         with pytest.raises(InvalidTrajectoryError):
             jsonio.load_context(path)
 
-    @pytest.mark.parametrize("content", [b'{"actions": [{"p0": [0, 0', b'\xff\xfe{}', b''],
-                             ids=["truncated", "not-utf8", "empty"])
+    @pytest.mark.parametrize("content", [b'{"actions": [{"p0": [0, 0', b'\xff\xfe{}', b'',
+                                         b"[" * 100_000],
+                             ids=["truncated", "not-utf8", "empty", "nested-too-deep"])
     @pytest.mark.parametrize("load", [jsonio.load_trajectory, jsonio.load_context],
                              ids=["trajectory", "context"])
     def test_unparsable_file_rejected(self, tmp_path, content, load):

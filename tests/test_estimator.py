@@ -227,9 +227,9 @@ def outlier_fits():
     data = np.zeros((5, 20, 1))
     data[4] = 10.0
     grid = np.linspace(0, 1, 20)
-    t_est, t_trace = fit_array(data, grid, FitConfig(nu=1.5, seed=0))
-    g_est, g_trace = fit_array(data, grid, FitConfig(nu=math.inf, seed=0))
-    return data, grid, t_est, t_trace, g_est, g_trace
+    t_est, t_curve = fit_array(data, grid, FitConfig(nu=1.5, seed=0))
+    g_est, g_curve = fit_array(data, grid, FitConfig(nu=math.inf, seed=0))
+    return data, grid, t_est, t_curve, g_est, g_curve
 
 
 class TestFit:
@@ -259,12 +259,12 @@ class TestFit:
         assert mu_star == pytest.approx(2.0, abs=0.01)
 
     def test_loss_tail_settles(self, outlier_fits):
-        _, _, _, t_trace, _, g_trace = outlier_fits
+        _, _, _, t_curve, _, g_curve = outlier_fits
         # The last tenth of the log schedule against the tenth before it:
         # 20 points each at the default 4,000 steps.
         n = max(1, len(log_schedule(FitConfig().steps)) // 10)
-        for trace in (t_trace, g_trace):
-            losses = [l for _, l in trace.loss_curve]
+        for curve in (t_curve, g_curve):
+            losses = [l for _, l in curve]
             assert len(losses) >= 2 * n
             tail = np.mean(losses[-n:])
             prev = np.mean(losses[-2 * n:-n])
@@ -324,8 +324,8 @@ class TestTrainingPrecision:
     def fitted(self):
         data = np.random.default_rng(3).normal(0, 0.3, (4, 30, 3))  # minibatch path
         grid = np.linspace(0, 1, 30)
-        est, trace = fit_array(data, grid, FitConfig(seed=4, steps=300))
-        return data, grid, est, trace
+        est, loss_curve = fit_array(data, grid, FitConfig(seed=4, steps=300))
+        return data, grid, est, loss_curve
 
     def test_estimator_is_float64(self, fitted):
         _, grid, est, _ = fitted
@@ -336,11 +336,12 @@ class TestTrainingPrecision:
         # The loss fell during training (against the loss after step 1 of
         # the same seeded run, which the reference loop logs), and the last
         # logged loss is that of the returned estimator, bit for bit.
-        data, grid, est, trace = fitted
+        data, grid, est, loss_curve = fitted
         _, curve = oracles.reference_fit(data, grid, 1.5, steps=300, seed=4)
-        assert curve[0][0] == 1 and curve[-1] == trace.loss_curve[-1]
-        assert trace.final_loss < curve[0][1]
-        assert trace.final_loss == nll_loss_array(data, grid, est)
+        final_loss = loss_curve[-1][1]
+        assert curve[0][0] == 1 and curve[-1] == loss_curve[-1]
+        assert final_loss < curve[0][1]
+        assert final_loss == nll_loss_array(data, grid, est)
 
     @pytest.mark.parametrize("nu, shape", [(1.5, (4, 30, 3)), (math.inf, (2, 5, 1))],
                              ids=["t-minibatch", "gaussian-full-batch"])
@@ -392,7 +393,7 @@ class TestTrainingPrecision:
 
 
 class TestLossLog:
-    """fit_array evaluates the loss only at the schedule points its trace keeps."""
+    """fit_array evaluates the loss only at the schedule points its loss curve keeps."""
 
     @pytest.mark.parametrize("steps, n_calls",
                              [(4000, 40), (3000, 40), (400, 40), (300, 60), (50, 20), (7, 7)])
@@ -406,12 +407,12 @@ class TestLossLog:
 
         monkeypatch.setattr(rip.estimator, "nll_loss_array", spy)
         data = np.random.default_rng(0).normal(0, 1, (2, 5, 1))
-        _, trace = fit_array(data, np.linspace(0, 1, 5),
-                             FitConfig(hidden=(4, 4), steps=steps, seed=0))
+        _, loss_curve = fit_array(data, np.linspace(0, 1, 5),
+                                  FitConfig(hidden=(4, 4), steps=steps, seed=0))
         schedule = log_schedule(steps)
         kept = schedule[-max(20, 2 * max(1, len(schedule) // 10)):]
-        assert [s for s, _ in trace.loss_curve] == kept
-        assert [l for _, l in trace.loss_curve] == calls
+        assert [s for s, _ in loss_curve] == kept
+        assert [l for _, l in loss_curve] == calls
         assert len(calls) == n_calls and kept[-1] == steps
 
     def test_window_at_the_benchmark_step_counts(self):
@@ -435,10 +436,11 @@ class TestReferenceLoop:
         data[0] += 1.0  # one sample off the others
         grid = np.linspace(0, 1, shape[1])
         theta, curve = oracles.reference_fit(data, grid, nu, hidden=hidden, steps=steps, seed=3)
-        est, trace = fit_array(data, grid, FitConfig(nu=nu, hidden=hidden, steps=steps, seed=3))
+        est, loss_curve = fit_array(data, grid,
+                                    FitConfig(nu=nu, hidden=hidden, steps=steps, seed=3))
         np.testing.assert_array_equal(est.theta, theta)
         assert len(curve) == len(log_schedule(steps))
-        assert trace.loss_curve == curve[-len(trace.loss_curve):]
+        assert loss_curve == curve[-len(loss_curve):]
 
 
 class TestRobustnessOrdering:
@@ -575,13 +577,6 @@ class TestFitConfig:
             FitConfig(steps=0)
         with pytest.raises(ValueError):
             FitConfig(hidden=(0, 4))
-
-    def test_gaussian_helper(self):
-        cfg = FitConfig(nu=1.5)
-        gauss = cfg.gaussian()
-        assert gauss is not cfg
-        assert math.isinf(gauss.nu)
-        assert cfg.nu == 1.5
 
     def test_immutable_and_hashable(self):
         # From Python 3.11 on, dataclasses reject an unhashable field

@@ -11,7 +11,7 @@ import rip.policy
 from rip.bench import trajectory_rmse
 from rip.errors import PipelineError
 from rip.estimator import FitConfig
-from rip.pipeline import run_rip, run_rip_gauss, single_sample
+from rip.pipeline import run_rip, single_sample
 from rip.policy import (
     PolicyConfig,
     RemoteConfig,
@@ -34,6 +34,7 @@ def policy(seed, q=5, **kw):
 
 
 FIT = FitConfig(steps=2500)
+GAUSS = replace(FIT, nu=math.inf)
 
 
 class TestRip:
@@ -76,7 +77,7 @@ class TestRip:
                          planted_hallucinations=1, hallucination_offset=0.14)
             final_ref = consensus.data[-1, :3]
             traj_t, _ = run_rip(ctx, pol, replace(FIT, seed=seed))
-            traj_g, _ = run_rip_gauss(ctx, pol, replace(FIT, seed=seed))
+            traj_g, _ = run_rip(ctx, pol, replace(GAUSS, seed=seed))
             devs_rip.append(np.linalg.norm(traj_t.data[-1, :3] - final_ref))
             devs_gauss.append(np.linalg.norm(traj_g.data[-1, :3] - final_ref))
         assert np.median(devs_rip) < 0.03
@@ -154,28 +155,19 @@ class TestRipGauss:
         ctx, _ = make_consensus_task(8, "reach")
         pol = policy(8, shape="reach", noise_scale=0.003)
         traj_t, _ = run_rip(ctx, pol, replace(FIT, seed=8))
-        traj_g, _ = run_rip_gauss(ctx, pol, replace(FIT, seed=8))
+        traj_g, _ = run_rip(ctx, pol, replace(GAUSS, seed=8))
         err = np.abs(traj_t.to_array()[:, :9] - traj_g.to_array()[:, :9])
         assert err.max() <= 1e-2
 
-    def test_alias_contract(self):
-        # rip with nu=inf and rip_gauss must produce the same trajectory,
-        # and the same report once the wall-clock timings are dropped.
+    def test_infinite_nu_reports_rip_gauss(self):
         ctx, _ = make_consensus_task(9, "pick")
-        pol = policy(9, noise_scale=0.004)
-        via_alias, alias_report = run_rip(ctx, pol, replace(FIT, seed=9, nu=math.inf))
-        via_method, method_report = run_rip_gauss(ctx, pol, replace(FIT, seed=9))
-        assert via_alias == via_method
-        reports = [r.to_dict() for r in (alias_report, method_report)]
-        for r in reports:
-            r.pop("timings")
-        assert reports[0] == reports[1]
-        assert reports[0]["method"] == "rip_gauss"
+        _, report = run_rip(ctx, policy(9, noise_scale=0.004), replace(GAUSS, seed=9))
+        assert report.to_dict()["method"] == "rip_gauss"
 
     def test_pulled_by_outlier_weight(self):
         ctx, consensus = make_consensus_task(10, "reach")
         pol = policy(10, shape="reach", planted_hallucinations=1, hallucination_offset=0.2)
-        traj_g, _ = run_rip_gauss(ctx, pol, replace(FIT, seed=10))
+        traj_g, _ = run_rip(ctx, pol, replace(GAUSS, seed=10))
         rmse = trajectory_rmse(traj_g, consensus)
         # Gaussian location is the sample mean: offset/Q per coordinate.
         expected = 0.2 / 5 / math.sqrt(3)

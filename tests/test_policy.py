@@ -510,6 +510,12 @@ class TestDefaultPost:
         assert result.attempts == hits
         assert loopback.hits["/refuse"] == hits
 
+    def test_deeply_nested_body_is_a_retried_transport_error(self, loopback):
+        # json.loads raises RecursionError, not ValueError, on this body.
+        result = self.query(loopback, "/deep", 200, b"[" * 100_000, max_retries=1)
+        assert result.status == "transport-error"
+        assert result.attempts == 2 and loopback.hits["/deep"] == 2
+
     def test_truncated_body_is_a_failed_slot(self, loopback):
         # The reply declares more bytes than it sends, so the read raises
         # http.client.IncompleteRead, which is not an OSError.
