@@ -24,6 +24,12 @@ GRIPPER_CHANNEL = 9
 POSITION_CHANNELS = tuple(range(9))
 
 
+def is_integer(value) -> bool:
+    """A Python or NumPy integer; bool, though an int subclass, is not one.
+    The configs check their counts and seeds with it when they are built."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class _ReadOnlyArray:
     """One read-only float64 array, ``_NDIM`` axes deep and ``_WIDTH`` wide.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRIPPER_CHANNEL, Trajectory, TrajectoryBundle
+from .core import GRIPPER_CHANNEL, Trajectory, TrajectoryBundle, is_integer
 from .errors import NumericalError, TrainingError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -190,15 +190,17 @@ class FitConfig:
     def __post_init__(self):
         # A tuple whatever the caller passed, so the config stays hashable.
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden must be two positive sizes, got {self.hidden}")
+        if len(self.hidden) != 2 or not all(is_integer(h) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden must be two positive integer sizes, got {self.hidden}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive (or inf), got {self.nu}")
-        if self.batch_size < 1 or self.steps < 1 or not 0 < self.learning_rate < math.inf:
-            raise ValueError("batch size, steps, and learning rate must be positive, "
-                             "and the learning rate finite")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not all(is_integer(n) and n >= 1 for n in (self.batch_size, self.steps)):
+            raise ValueError("batch size and steps must be positive integers, got "
+                             f"{self.batch_size!r} and {self.steps!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(eq=False)

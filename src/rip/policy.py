@@ -20,13 +20,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KeypointSet, Trajectory, resample_trajectory
+from .core import KeypointSet, Trajectory, is_integer, resample_trajectory
 from .errors import MalformedResponseError, TransportError
 from .tokens import PolicyContext, decode_trajectory, encode_context, has_action_block
 
@@ -34,9 +34,11 @@ TASK_SHAPES = ("reach", "push", "pick")
 # Keypoints per set in a synthetic task's demonstrations and query.
 _TASK_KEYPOINTS = 10
 
-# Remote queries run concurrently, one thread per query up to this many, so
-# a large Q cannot start thousands of threads. The executor default is not
-# used: on two cores it is 6, which would split a Q = 10 episode into two waves.
+# Remote queries run on one process-wide pool of at most this many threads,
+# so a large Q cannot start thousands of them. A thread starts when a call
+# finds none idle and then serves every later call; concurrent calls share
+# the pool. The executor default is not used: on two cores it is 6, which
+# would split a Q = 10 episode into two waves.
 _MAX_QUERY_THREADS = 32
 
 # Fingertip offsets from the gripper body point, meters.
@@ -70,8 +72,8 @@ class SyntheticOracleConfig:
     follow_context_demo: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.task_shape not in TASK_SHAPES:
             raise ValueError(f"task shape must be one of {TASK_SHAPES}, got {self.task_shape!r}")
         if not (0 <= self.noise_scale < math.inf and 0 <= self.hallucination_offset < math.inf):
@@ -80,8 +82,14 @@ class SyntheticOracleConfig:
             raise ValueError("hallucination probability must lie in [0, 1]")
         if self.hallucination_mode not in ("offset", "random-walk"):
             raise ValueError(f"unknown hallucination mode {self.hallucination_mode!r}")
-        if self.length_jitter[0] > self.length_jitter[1]:
-            raise ValueError("length jitter range must be (lo, hi) with lo <= hi")
+        lo, hi = self.length_jitter
+        if not (is_integer(lo) and is_integer(hi) and lo <= hi):
+            raise ValueError("length jitter range must be integers (lo, hi) with lo <= hi, "
+                             f"got {self.length_jitter!r}")
+        planted = self.planted_hallucinations
+        if planted is not None and not (is_integer(planted) and planted >= 0):
+            raise ValueError(f"planted hallucinations must be None or an integer >= 0, "
+                             f"got {planted!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ class RemoteConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.timeout_s < math.inf:
             raise ValueError(f"timeout must be finite and positive, got {self.timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError("max retries must be >= 0")
+        if not (is_integer(self.max_retries) and self.max_retries >= 0):
+            raise ValueError(f"max retries must be an integer >= 0, got {self.max_retries!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +124,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.backend not in ("synthetic", "remote"):
             raise ValueError(f"backend must be 'synthetic' or 'remote', got {self.backend!r}")
-        if self.query_count < 1:
-            raise ValueError(f"query count must be >= 1, got {self.query_count}")
+        if not (is_integer(self.query_count) and self.query_count >= 1):
+            raise ValueError(f"query count must be an integer >= 1, got {self.query_count!r}")
         if self.backend == "remote" and self.remote is None:
             raise ValueError("remote backend selected but no remote settings given")
 
@@ -313,8 +321,8 @@ class _FirstWave:
     A slot whose first response holds an action block decodes only once no
     first request is in flight, so a slot whose first attempt failed posts
     its retry while the others wait without the interpreter lock. Only
-    started requests count and retries never wait, so a serial executor or
-    a pool smaller than Q cannot deadlock.
+    started requests count and retries never wait, so a serial executor, a
+    pool smaller than Q or one shared with other calls cannot deadlock.
     """
 
     def __init__(self):
@@ -460,6 +468,18 @@ def sample_trajectories(context: PolicyContext, config: PolicyConfig) -> list[Sa
     return sample_with_client(context, config, client)
 
 
+def _start_query_pool():
+    # Also run in a forked child: it inherits the pool's idle count but none
+    # of its threads, so work submitted there would never run.
+    global _query_pool
+    _query_pool = ThreadPoolExecutor(max_workers=_MAX_QUERY_THREADS)
+
+
+_start_query_pool()
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_start_query_pool)
+
+
 def sample_with_client(
     context: PolicyContext, config: PolicyConfig, client: RemotePolicyClient
 ) -> list[SampleResult]:
@@ -467,9 +487,11 @@ def sample_with_client(
     prompt = encode_context(context, preamble=config.preamble)
     q = config.query_count
     wave = _FirstWave()
-    with ThreadPoolExecutor(max_workers=min(q, _MAX_QUERY_THREADS)) as pool:
-        futures = [pool.submit(client.query_one, prompt, i, wave) for i in range(q)]
-        results = [f.result() for f in futures]
+    futures = [_query_pool.submit(client.query_one, prompt, i, wave) for i in range(q)]
+    # Every slot ends before the call returns or raises, even when one
+    # slot's error is what it raises.
+    wait(futures)
+    results = [f.result() for f in futures]
     statuses = [r.status for r in results]
     if "ok" not in statuses and "transport-error" in statuses:
         raise TransportError(

@@ -11,6 +11,7 @@ the first run of well-formed action lines and ignores surrounding prose.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -51,7 +52,9 @@ class PolicyContext:
         object.__setattr__(self, "demonstrations", demos)
 
 
+@functools.cache
 def default_preamble() -> str:
+    # Read once: the packaged file does not change while the process runs.
     return resources.files("rip.data").joinpath("preamble.txt").read_text(encoding="utf-8")
 
 

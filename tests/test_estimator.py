@@ -570,13 +570,21 @@ class TestFlatParameters:
 
 
 class TestFitConfig:
-    def test_validation(self):
+    @pytest.mark.parametrize("kwargs", [
+        dict(nu=0.0), dict(steps=0), dict(hidden=(0, 4)),
+        # Integer fields refuse floats and bools when the config is built,
+        # not later inside numpy or range().
+        dict(steps=10.5), dict(batch_size=8.0), dict(hidden=(8.5, 8)),
+        dict(seed=1.5), dict(steps=True),
+    ])
+    def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            FitConfig(nu=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(steps=0)
-        with pytest.raises(ValueError):
-            FitConfig(hidden=(0, 4))
+            FitConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig(hidden=(np.int64(8), 8), batch_size=np.int32(16),
+                        steps=np.int64(10), seed=np.uint8(3))
+        assert cfg.hidden == (8, 8) and cfg.steps == 10
 
     def test_immutable_and_hashable(self):
         # From Python 3.11 on, dataclasses reject an unhashable field

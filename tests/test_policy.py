@@ -1,12 +1,12 @@
 import http.client
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -28,7 +28,7 @@ from rip.policy import (
     sample_trajectories,
     sample_with_client,
 )
-from rip.tokens import encode_action_block
+from rip.tokens import decode_trajectory, encode_action_block, encode_context
 
 
 def noise_free(seed=0, shape="pick", **kw):
@@ -253,36 +253,31 @@ class TestRemoteClient:
         assert elapsed < 5 * delay * 0.8  # parallel issue, not serial
         assert [r.index for r in results] == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("q, threads", [(10, 10), (5000, 32)])
-    def test_thread_pool_is_capped(self, monkeypatch, q, threads):
-        # The fake executor records its size and runs each query inline,
-        # so a large Q starts no threads.
-        sizes = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr("rip.policy.ThreadPoolExecutor", InlineExecutor)
+    def test_thread_pool_is_capped(self):
+        # 200 slots run on at most 32 threads, and a second call runs on
+        # threads the first one ran on. The list holds the thread objects,
+        # so a new thread cannot pass for an old one by reusing its id.
         ctx, consensus = make_consensus_task(0, "reach")
         reply = fake_completion(consensus)
-        client = RemotePolicyClient(remote_config(), post_fn=lambda *args: reply)
-        cfg = PolicyConfig(backend="remote", query_count=q, remote=remote_config())
-        results = sample_with_client(ctx, cfg, client)
-        assert sizes == [threads]
-        assert [r.index for r in results] == list(range(q))
+        lock = threading.Lock()
+        threads = []
+
+        def post(url, body, timeout, headers):
+            with lock:
+                threads.append(threading.current_thread())
+            time.sleep(0.002)
+            return reply
+
+        client = RemotePolicyClient(remote_config(), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=200, remote=remote_config())
+        results = _bounded(lambda: sample_with_client(ctx, cfg, client))
+        first = set(threads)
+        assert [r.index for r in results] == list(range(200))
         assert all(r.ok for r in results)
+        assert len(first) <= 32
+        threads.clear()
+        _bounded(lambda: sample_with_client(ctx, replace(cfg, query_count=10), client))
+        assert set(threads) & first
 
     def test_api_key_header_from_env(self, monkeypatch):
         ctx, consensus = make_consensus_task(0, "reach")
@@ -397,24 +392,29 @@ class TestFirstWave:
         assert posts[q][0] < min(good_decodes)
 
     def test_an_escaping_error_does_not_hang_the_other_slots(self):
-        # A JSON-list payload raises AttributeError out of its slot, which
-        # ends the call; the slots waiting on the first wave must not hang.
+        # The first reply is a JSON list, which raises AttributeError out of
+        # its slot and ends the call; the slots waiting on the first wave
+        # must not hang, and the error surfaces only once they have ended.
         ctx, consensus = make_consensus_task(0, "reach")
         good = fake_completion(consensus)
         lock = threading.Lock()
         calls = []
+        returned = []
 
         def post(url, body, timeout, headers):
             with lock:
                 calls.append(url)
                 n = len(calls)
             time.sleep(0.01 * n)
-            return ["not", "a", "completion"] if n == 2 else good
+            with lock:
+                returned.append(n)
+            return ["not", "a", "completion"] if n == 1 else good
 
         client = RemotePolicyClient(remote_config(), post_fn=post)
         cfg = PolicyConfig(backend="remote", query_count=5, remote=remote_config())
         with pytest.raises(AttributeError):
             _bounded(lambda: sample_with_client(ctx, cfg, client))
+        assert sorted(returned) == [1, 2, 3, 4, 5]
 
     def test_more_slots_than_threads(self):
         # 40 slots on 32 threads: later slots start while earlier ones wait
@@ -446,6 +446,71 @@ class TestFirstWave:
         assert [r.index for r in results] == list(range(40))
         assert all(r.ok for r in results)
         assert sum(r.attempts for r in results) == len(calls)
+
+
+class TestSharedPool:
+    """One pool of query threads serves every call in the process."""
+
+    def test_concurrent_calls_get_their_own_slots_in_order(self):
+        # Two threads sample two tasks at once. The stub answers each
+        # prompt with its own task's trajectory, so a slot that went to the
+        # other call would show.
+        tasks = [make_consensus_task(seed, "reach") for seed in (0, 1)]
+        replies = {encode_context(ctx): fake_completion(consensus) for ctx, consensus in tasks}
+        expected = [decode_trajectory(encode_action_block(consensus)) for _, consensus in tasks]
+
+        def post(url, body, timeout, headers):
+            time.sleep(0.005)
+            return replies[body["prompt"]]
+
+        client = RemotePolicyClient(remote_config(), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=20, remote=remote_config())
+        out = {}
+
+        def run(k):
+            out[k] = sample_with_client(tasks[k][0], cfg, client)
+
+        callers = [threading.Thread(target=run, args=(k,), daemon=True) for k in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(30.0)
+            assert not caller.is_alive()
+        for k in (0, 1):
+            assert [r.index for r in out[k]] == list(range(20))
+            assert all(r.ok and r.trajectory == expected[k] for r in out[k])
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    # Forking a process with threads is the case under test.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_gets_a_pool_of_its_own(self):
+        # The child inherits the parent's ten idle threads as a count, not
+        # as threads; on that pool its four slots would never run.
+        ctx, consensus = make_consensus_task(0, "reach")
+        reply = fake_completion(consensus)
+
+        def post(url, body, timeout, headers):
+            time.sleep(0.02)
+            return reply
+
+        client = RemotePolicyClient(remote_config(), post_fn=post)
+        cfg = PolicyConfig(backend="remote", query_count=10, remote=remote_config())
+        assert all(r.ok for r in _bounded(lambda: sample_with_client(ctx, cfg, client)))
+
+        def child():
+            small = replace(cfg, query_count=4)
+            results = _bounded(lambda: sample_with_client(ctx, small, client), timeout=10.0)
+            assert [r.index for r in results] == [0, 1, 2, 3]
+            assert all(r.ok for r in results)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(30.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -572,3 +637,26 @@ class TestConfigValidation:
         # time: a non-finite gradient or action, or a failed slot per query.
         with pytest.raises(ValueError):
             make(**kwargs)
+
+
+    @pytest.mark.parametrize("make, kwargs", [
+        (PolicyConfig, dict(query_count=2.5)),
+        (PolicyConfig, dict(query_count=True)),
+        (SyntheticOracleConfig, dict(seed=1.5)),
+        (SyntheticOracleConfig, dict(planted_hallucinations=1.5)),
+        (SyntheticOracleConfig, dict(planted_hallucinations=-1)),
+        (SyntheticOracleConfig, dict(length_jitter=(-1.5, 2))),
+        (RemoteConfig, dict(endpoint="x", max_retries=1.5)),
+    ])
+    def test_non_integer_counts_rejected(self, make, kwargs):
+        # Each used to pass construction and then fail inside numpy or
+        # range(), run silently, or escape a worker thread as a TypeError.
+        with pytest.raises(ValueError):
+            make(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert PolicyConfig(query_count=np.int64(3)).query_count == 3
+        oracle = SyntheticOracleConfig(seed=np.int64(2), planted_hallucinations=np.int32(1),
+                                       length_jitter=(np.int64(-1), 1))
+        assert oracle.planted_hallucinations == 1
+        assert RemoteConfig(endpoint="x", max_retries=np.int8(1)).max_retries == 1
