@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Trajectory, resample_trajectory
+from .core import Trajectory, is_integer, resample_trajectory
 from .downsample import downsample, gripper_transitions, uniform_downsample
 from .estimator import FitConfig
 from .pipeline import run_rip
@@ -102,11 +102,15 @@ class SweepSettings:
     fit: FitConfig = FitConfig(steps=3000)
 
     def __post_init__(self):
-        if not self.cells() or min(self.q_values) < 1:
-            raise ValueError(f"the sweep needs a nu and a Q, each Q >= 1; got Q {self.q_values}")
-        if self.trials < 1 or self.master_seed < 0:
-            raise ValueError(f"trials must be >= 1 and the seed >= 0, "
-                             f"got {self.trials} and {self.master_seed}")
+        if not self.cells() or not all(is_integer(q) and q >= 1 for q in self.q_values):
+            raise ValueError(f"the sweep needs a nu and a Q, each Q an integer >= 1; "
+                             f"got Q {self.q_values}")
+        if not all(nu > 0 for nu in self.nu_values):
+            raise ValueError(f"each nu must be positive (or inf), got {self.nu_values}")
+        if not (is_integer(self.trials) and self.trials >= 1
+                and is_integer(self.master_seed) and self.master_seed >= 0):
+            raise ValueError(f"trials must be an integer >= 1 and the seed an integer >= 0, "
+                             f"got {self.trials!r} and {self.master_seed!r}")
 
     def cells(self) -> list:
         return [(q, nu) for q in self.q_values for nu in self.nu_values]
@@ -219,13 +223,15 @@ class DownsampleBenchSettings:
     fit: FitConfig = FitConfig(steps=3000)
 
     def __post_init__(self):
-        if self.n_seeds < 1 or self.query_count < 1:
-            raise ValueError(f"seeds and Q must be >= 1, got {self.n_seeds} and {self.query_count}")
+        if not all(is_integer(n) and n >= 1 for n in (self.n_seeds, self.query_count)):
+            raise ValueError(f"seeds and Q must be integers >= 1, "
+                             f"got {self.n_seeds!r} and {self.query_count!r}")
         # A target of 2 or more may still be below a task's masked steps,
         # which only the run can tell.
-        if self.master_seed < 0 or self.target_len < 2:
-            raise ValueError(f"the seed must be >= 0 and the target length >= 2, "
-                             f"got {self.master_seed} and {self.target_len}")
+        if not (is_integer(self.master_seed) and self.master_seed >= 0
+                and is_integer(self.target_len) and self.target_len >= 2):
+            raise ValueError(f"the seed must be an integer >= 0 and the target length "
+                             f"an integer >= 2, got {self.master_seed!r} and {self.target_len!r}")
 
 
 def run_downsample_trial(seed: int, method: str,

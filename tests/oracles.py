@@ -56,7 +56,7 @@ def numpy_t_nll(data, mu, var, nu) -> float:
     return float(np.sum(per))
 
 
-def grid_search_location(data, nu, var_floor=1e-6,
+def grid_search_location(data, nu, floor=1e-6,
                          mu_range=(-2.0, 12.0), n_mu=2801, n_var=1200):
     """Brute-force argmin of the 1-D location/scale NLL on a dense grid.
 
@@ -66,7 +66,7 @@ def grid_search_location(data, nu, var_floor=1e-6,
     """
     data = np.asarray(data, dtype=float)
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
-    variances = np.exp(np.linspace(math.log(var_floor), math.log(400.0), n_var)) + var_floor
+    variances = np.exp(np.linspace(math.log(floor), math.log(400.0), n_var)) + floor
     best = (math.inf, math.nan, math.nan)
     for var in variances:
         r2 = (data[None, :] - mus[:, None]) ** 2

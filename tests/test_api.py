@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -36,6 +37,16 @@ def test_second_names_are_gone():
     assert not hasattr(rip.pipeline, "run_rip_gauss")
     assert not hasattr(rip.FitConfig, "gaussian")
     assert not hasattr(rip.estimator, "FitTrace")
+
+
+def test_estimator_stores_each_fact_once():
+    # A fitted estimator has no file format. Its variance floor is the
+    # constant VAR_FLOOR, and its channel count is read off its arrays.
+    fields = {f.name for f in dataclasses.fields(rip.StudentTEstimator)}
+    assert not fields & {"n_channels", "var_floor"}
+    assert isinstance(rip.StudentTEstimator.n_channels, property)
+    for name in ("to_dict", "from_dict", "SCHEMA_VERSION"):
+        assert not hasattr(rip.StudentTEstimator, name)
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -215,6 +215,18 @@ class TestDownsampleBench:
     (SweepSettings, dict(trials=0)),
     (DownsampleBenchSettings, dict(n_seeds=0)),
     (DownsampleBenchSettings, dict(query_count=0)),
+    # Counts and seeds refuse floats and bools, and each nu must be > 0
+    # (NaN is not), when the settings are built rather than in a worker.
+    (SweepSettings, dict(trials=2.5)),
+    (SweepSettings, dict(trials=True)),
+    (SweepSettings, dict(q_values=(2.5,))),
+    (SweepSettings, dict(nu_values=(0.0,))),
+    (SweepSettings, dict(nu_values=(math.nan,))),
+    (SweepSettings, dict(master_seed=1.5)),
+    (DownsampleBenchSettings, dict(n_seeds=2.5)),
+    (DownsampleBenchSettings, dict(query_count=1.5)),
+    (DownsampleBenchSettings, dict(target_len=30.5)),
+    (DownsampleBenchSettings, dict(master_seed=True)),
 ])
 def test_settings_checked_on_construction(make, kwargs):
     with pytest.raises(ValueError):
