@@ -140,6 +140,8 @@ def run_cell_trial(q: int, nu: float, seed: int, settings: SweepSettings) -> tup
 def _map_trials(fn, workers: int, chunksize: int, *args) -> list:
     """``fn`` over the zipped argument lists, in a process pool when
     ``workers`` > 1; results come back in job order either way."""
+    if not (is_integer(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *args, chunksize=chunksize))

@@ -157,8 +157,8 @@ def resample_trajectory(trajectory: Trajectory, target_len: int) -> Trajectory:
     Positions interpolate linearly; the gripper holds its previous sample;
     the first and last actions are preserved exactly.
     """
-    if target_len < 2:
-        raise InvalidTrajectoryError(f"target length must be >= 2, got {target_len}")
+    if not (is_integer(target_len) and target_len >= 2):
+        raise InvalidTrajectoryError(f"target length must be an integer >= 2, got {target_len!r}")
     # Same length means identical grids; copying keeps alignment bitwise
     # idempotent instead of relying on interpolation round-off behavior.
     if len(trajectory) == target_len:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, is_integer
 from .errors import DownsampleError
 
 
@@ -66,6 +66,8 @@ def downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     to span length, uniformly within each span. Order is preserved and the
     output is a subsequence of the input.
     """
+    if not is_integer(target_len):
+        raise DownsampleError(f"target length must be an integer, got {target_len!r}")
     masked = mask_key_steps(trajectory)
     if target_len < len(masked):
         raise DownsampleError(
@@ -90,8 +92,8 @@ def uniform_downsample(trajectory: Trajectory, target_len: int) -> Trajectory:
     """Plain uniform striding that keeps only the first and last actions
     pinned. Gripper events between grid points get retimed or merged; this
     is the baseline the mask-based variant exists to fix."""
-    if target_len < 2:
-        raise DownsampleError(f"target length must be >= 2, got {target_len}")
+    if not (is_integer(target_len) and target_len >= 2):
+        raise DownsampleError(f"target length must be an integer >= 2, got {target_len!r}")
     n = len(trajectory)
     if n <= target_len:
         return trajectory

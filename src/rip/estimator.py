@@ -159,13 +159,6 @@ def _softplus_inv(y):
     return y + np.log1p(-np.exp(-y))
 
 
-# Parameter keys in a fixed order, so checks are deterministic.
-PARAM_KEYS = (
-    "mu_W1", "mu_b1", "mu_W2", "mu_b2", "mu_W3", "mu_b3",
-    "s_W1", "s_b1", "s_W2", "s_b2", "s_W3", "s_b3",
-)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Training hyperparameters for the action estimator.
@@ -208,8 +201,8 @@ class StudentTEstimator:
     """Fitted mean/variance networks plus the degrees of freedom.
 
     Immutable after fitting; evaluation is pure and thread-safe. ``theta``
-    is the flat parameter vector in the ``_flat_params`` layout; ``params``
-    gives per-key views of it. ``nu`` is a positive float, or ``inf`` for
+    is the flat parameter vector in the ``_flat_params`` layout, the one
+    view of the parameters. ``nu`` is a positive float, or ``inf`` for
     the Gaussian ablation. The networks operate on per-channel standardized
     values (``channel_shift``/``channel_scale``, each (D,)); evaluation maps
     back to raw units, so the likelihood channels with very different
@@ -229,12 +222,8 @@ class StudentTEstimator:
         """D, the channel count: the size of the standardization arrays."""
         return self.channel_shift.size
 
-    @property
-    def params(self) -> dict:
-        return _flat_params(self.hidden, self.n_channels, self.theta)[1]
-
     def _layers(self) -> list:
-        return _flat_params(self.hidden, self.n_channels, self.theta)[2]
+        return _flat_params(self.hidden, self.n_channels, self.theta)[1]
 
     def mean_and_variance(self, tgrid) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate mu(t) and var(t) on a grid, raw units; both (T, D)."""
@@ -251,10 +240,9 @@ def _flat_params(hidden, n_channels, theta=None):
     then the bias as the last row. Training runs both heads with one call
     per layer, and a ones column on the input features folds the first
     layer's bias into its matmul. Returns the buffer (new zeros unless
-    ``theta`` is given), the per-key views (``params``) and the layers:
-    the first layer's whole stack, then a (weights, bias) pair for each
-    of the other two, all views of the buffer, made once so a training
-    step slices nothing.
+    ``theta`` is given) and the layers: the first layer's whole stack,
+    then a (weights, bias) pair for each of the other two, all views of
+    the buffer, made once so a training step slices nothing.
     """
     h1, h2 = hidden
     fans = ((FEATURE_DIM, h1), (h1, h2), (h2, n_channels))
@@ -263,17 +251,14 @@ def _flat_params(hidden, n_channels, theta=None):
         theta = np.zeros(size)
     elif theta.shape != (size,):
         raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
-    params, layers = {}, []
+    layers = []
     offset = 0
     for k, (n_in, n_out) in enumerate(fans, start=1):
         size = 2 * (n_in + 1) * n_out
         layer = theta[offset:offset + size].reshape(2, n_in + 1, n_out)
         layers.append(layer if k == 1 else (layer[:, :n_in], layer[:, n_in:]))
-        for i, head in enumerate(("mu", "s")):
-            params[f"{head}_W{k}"] = layer[i, :n_in]
-            params[f"{head}_b{k}"] = layer[i, n_in]
         offset += size
-    return theta, params, layers
+    return theta, layers
 
 
 def _forward(layers, X1, h1=None, h2=None, out=None):
@@ -354,20 +339,18 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
 
 
 def _init_params(rng, hidden, n_channels, data, nu=1.5):
-    theta, params, layers = _flat_params(hidden, n_channels)
-    h1, _ = hidden
-    for head in ("mu", "s"):
-        params[f"{head}_W1"][...] = rng.normal(0.0, 1.0 / math.sqrt(FEATURE_DIM),
-                                               params[f"{head}_W1"].shape)
-        params[f"{head}_W2"][...] = rng.normal(0.0, 1.0 / math.sqrt(h1),
-                                               params[f"{head}_W2"].shape)
-        # Output weights start at zero so both heads begin flat at their
-        # biases; the curves move off those seeds only where the data asks.
+    theta, layers = _flat_params(hidden, n_channels)
+    L1, (W2, _), (_, b3) = layers
+    for i in (0, 1):  # mu head, then s head
+        L1[i, :-1] = rng.normal(0.0, 1.0 / math.sqrt(FEATURE_DIM), L1[i, :-1].shape)
+        W2[i] = rng.normal(0.0, 1.0 / math.sqrt(hidden[0]), W2[i].shape)
+    # Output weights start at zero so both heads begin flat at their
+    # biases; the curves move off those seeds only where the data asks.
     flat = data.reshape(-1, data.shape[-1])
     # Median, not mean: seeding the location on an outlier would hand the
     # hallucination a head start.
     med = np.median(flat, axis=0)
-    params["mu_b3"][...] = med
+    b3[0, 0] = med
     if math.isinf(nu):
         # The Gaussian objective punishes an undersized starting scale with
         # enormous variance gradients; seed it at the sample variance.
@@ -376,8 +359,8 @@ def _init_params(rng, hidden, n_channels, data, nu=1.5):
         spread = (1.4826 * np.median(np.abs(flat - med), axis=0)) ** 2
     # The lower clip keeps the starting likelihood from being so stiff that
     # the mean head cannot move (binary channels have zero robust spread).
-    params["s_b3"][...] = _softplus_inv(np.clip(spread, 1e-2, 25.0) + VAR_FLOOR)
-    return theta, params, layers
+    b3[1, 0] = _softplus_inv(np.clip(spread, 1e-2, 25.0) + VAR_FLOOR)
+    return theta, layers
 
 
 def nll_loss_array(data: np.ndarray, grid: np.ndarray, estimator: StudentTEstimator) -> float:
@@ -405,8 +388,9 @@ def log_density(a, t: float, estimator: StudentTEstimator) -> np.ndarray:
 
 
 def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
-                        estimator: StudentTEstimator) -> dict:
-    """Analytic gradient of the total NLL with respect to every parameter.
+                        estimator: StudentTEstimator) -> np.ndarray:
+    """Analytic gradient of the total NLL with respect to ``theta``, in
+    its shape.
 
     Runs training's step, ``_nll_gradient``, once on the whole bundle in
     float64, so the finite-difference checks on it audit the code that
@@ -418,11 +402,11 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     scale = estimator.channel_scale
     rows = ((data - estimator.channel_shift) / scale).reshape(n_q * n_t, n_d)
     t_idx = np.tile(np.arange(n_t), n_q)
-    _grad, views, grads = _flat_params(estimator.hidden, n_d)
+    grad, grads = _flat_params(estimator.hidden, n_d)
     _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, None,
                   VAR_FLOOR / scale**2, estimator.nu, 1.0,
                   _step_buffers(estimator.hidden, n_t, n_q * n_t, n_d, float), grads)
-    return views
+    return grad
 
 
 def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, list]:
@@ -470,9 +454,9 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     floor_std = (VAR_FLOOR / scale**2).astype(_TRAIN_DTYPE)
     nu = float(config.nu)
 
-    theta, _, _ = _init_params(rng, config.hidden, n_d, data_std, config.nu)
+    theta, _ = _init_params(rng, config.hidden, n_d, data_std, config.nu)
     theta_train = theta.astype(_TRAIN_DTYPE)
-    layers = _flat_params(config.hidden, n_d, theta_train)[2]
+    layers = _flat_params(config.hidden, n_d, theta_train)[1]
     # Adam's moments m and v, and the gradient with its square: each pair
     # is one (2, N) array, so one pass decays both moments and one adds to
     # both. The moments are kept without their (1 - beta) factors, which
@@ -481,7 +465,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     m, v = moments
     grad_sq = np.zeros_like(moments)
     grad = grad_sq[0]
-    grads = _flat_params(config.hidden, n_d, grad)[2]
+    grads = _flat_params(config.hidden, n_d, grad)[1]
     betas = np.array([[ADAM_BETA1], [ADAM_BETA2]], dtype=_TRAIN_DTYPE)
     buf = np.empty_like(theta_train)
     features = time_features(grid).astype(_TRAIN_DTYPE)
@@ -602,11 +586,11 @@ def extract_mean(estimator: StudentTEstimator, grid) -> Trajectory:
 
 
 def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
-                               estimator: StudentTEstimator) -> dict:
+                               estimator: StudentTEstimator) -> np.ndarray:
     """Central-difference gradient of the total NLL, for verification.
 
     Perturbs ``estimator.theta`` in place one entry at a time and restores
-    it; returns per-key views of the gradient, like ``loss_gradient_array``.
+    it; returns the gradient in ``theta``'s shape, like ``loss_gradient_array``.
     """
     theta = estimator.theta
     g = np.zeros_like(theta)
@@ -618,16 +602,16 @@ def finite_difference_gradient(data: np.ndarray, grid: np.ndarray,
         lo = nll_loss_array(data, grid, estimator)
         theta[i] = orig
         g[i] = (hi - lo) / (2.0 * FD_STEP)
-    return _flat_params(estimator.hidden, estimator.n_channels, g)[1]
+    return g
 
 
 def gradient_check(seed: int = 0, n_configs: int = 20,
                    nus=(1.25, 1.5, 3.0, math.inf)) -> float:
     """Max per-parameter relative error between analytic and central-
     difference gradients over randomized small configurations."""
-    if n_configs < 1 or not nus or not all(nu > 0 for nu in nus):
-        raise ValueError(f"the check needs at least one config and positive nus, "
-                         f"got {n_configs} and {nus!r}")
+    if not (is_integer(n_configs) and n_configs >= 1 and nus and all(nu > 0 for nu in nus)):
+        raise ValueError(f"the check needs an integer count of configs >= 1 and positive "
+                         f"nus, got {n_configs!r} and {nus!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_configs):
@@ -638,18 +622,15 @@ def gradient_check(seed: int = 0, n_configs: int = 20,
         grid = np.linspace(0.0, 1.0, n_t)
         data = rng.normal(0.0, 1.0, (n_q, n_t, n_d))
         hidden = (int(rng.integers(4, 9)), int(rng.integers(4, 9)))
-        theta, params, _layers = _init_params(rng, hidden, n_d, data, nu)
-        # Perturb the zero-initialized output weights so the check covers
-        # a generic point in parameter space.
-        for head in ("mu", "s"):
-            params[f"{head}_W3"][...] = rng.normal(0.0, 0.3, params[f"{head}_W3"].shape)
+        theta, layers = _init_params(rng, hidden, n_d, data, nu)
+        # Perturb the zero-initialized output weights of both heads so the
+        # check covers a generic point in parameter space.
+        layers[2][0][...] = rng.normal(0.0, 0.3, layers[2][0].shape)
         est = StudentTEstimator(theta=theta, nu=nu, hidden=hidden,
                                 channel_shift=rng.normal(0.0, 1.0, n_d),
                                 channel_scale=rng.uniform(0.5, 2.0, n_d))
         analytic = loss_gradient_array(data, grid, est)
         numeric = finite_difference_gradient(data, grid, est)
-        for k in PARAM_KEYS:
-            denom = np.maximum(np.abs(numeric[k]), 1e-6)
-            rel = np.abs(analytic[k] - numeric[k]) / denom
-            worst = max(worst, float(rel.max()))
+        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
+        worst = max(worst, float(rel.max()))
     return worst

@@ -31,6 +31,7 @@ from .errors import MalformedResponseError, TransportError
 from .tokens import PolicyContext, decode_trajectory, encode_context, has_action_block
 
 TASK_SHAPES = ("reach", "push", "pick")
+PICK_PROFILES = ("dwell", "swoop")
 # Keypoints per set in a synthetic task's demonstrations and query.
 _TASK_KEYPOINTS = 10
 
@@ -228,10 +229,16 @@ def make_consensus_task(
     reach: straight line, gripper open throughout. push: approach, pause
     at contact, push. pick: descent, a single open-to-close transition at
     the bottom, ascent ("swoop" concentrates the motion at the grasp).
-    Deterministic in (seed, shape).
+    Deterministic in (seed, shape). The profile is checked whatever the
+    shape; a drift or wobble of 0 gives demonstrations without it.
     """
     if task_shape not in TASK_SHAPES:
         raise ValueError(f"task shape must be one of {TASK_SHAPES}, got {task_shape!r}")
+    if pick_profile not in PICK_PROFILES:
+        raise ValueError(f"pick profile must be one of {PICK_PROFILES}, got {pick_profile!r}")
+    if not all(0.0 <= x < math.inf for x in (demo_drift, demo_wobble)):
+        raise ValueError("demo drift and wobble must be finite and >= 0, got "
+                         f"{demo_drift!r} and {demo_wobble!r}")
     rng = _derive_rng(seed, TASK_SHAPES.index(task_shape))
     length = int(rng.integers(length_range[0], length_range[1] + 1))
     p0, g, anchor = _consensus_path(rng, task_shape, length, pick_profile)

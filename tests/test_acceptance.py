@@ -82,8 +82,8 @@ def test_criterion_1_gradient_correctness():
         grid = np.linspace(0.0, 1.0, n_t)
         analytic = loss_gradient_array(data, grid, est)
         numeric = oracles.central_difference_gradient(
-            lambda: nll_loss_array(data, grid, est), est.params, step=1e-5)
-        worst = max(worst, oracles.max_relative_error(analytic, numeric))
+            lambda: nll_loss_array(data, grid, est), {"theta": est.theta}, step=1e-5)
+        worst = max(worst, oracles.max_relative_error({"theta": analytic}, numeric))
     report(1, worst <= 1e-4, f"max rel gradient error {worst:.2e} <= 1e-4",
            time.perf_counter() - t0, 30)
 

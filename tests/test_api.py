@@ -47,6 +47,9 @@ def test_estimator_stores_each_fact_once():
     assert isinstance(rip.StudentTEstimator.n_channels, property)
     for name in ("to_dict", "from_dict", "SCHEMA_VERSION"):
         assert not hasattr(rip.StudentTEstimator, name)
+    # The flat vector theta is the one view of the parameters.
+    assert not hasattr(rip.StudentTEstimator, "params")
+    assert not hasattr(rip.estimator, "PARAM_KEYS")
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -124,6 +124,13 @@ class TestSweep:
             run_sweep(tiny_sweep_settings(q_values=()))
         with pytest.raises(ValueError):
             run_sweep(tiny_sweep_settings(trials=0))
+        # A worker count below 1 is refused, not run serially.
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                run_sweep(tiny_sweep_settings(), workers=workers)
+            with pytest.raises(ValueError):
+                run_downsample_bench(DownsampleBenchSettings(n_seeds=1, fit=FitConfig(steps=50)),
+                                     workers=workers)
 
     def test_parallel_equals_serial(self):
         settings = tiny_sweep_settings(q_values=(2, 3), trials=2)

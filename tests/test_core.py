@@ -87,8 +87,8 @@ class TestTrajectory:
         assert kp != KeypointSet(bumped[:, :3]) and kp != tr and tr != kp
 
 
-# Constructors called directly with bad values raise only the library's
-# error, as the JSON boundary does.
+# Constructors and the resampler called directly with bad values raise
+# only the library's error, as the JSON boundary does.
 @pytest.mark.parametrize("build", [
     lambda: Trajectory([[10**400] * 10] * 2),
     lambda: TrajectoryBundle([[[10**400] * 10] * 2]),
@@ -96,8 +96,13 @@ class TestTrajectory:
     lambda: KeypointSet(None),
     lambda: KeypointSet([(0.0, 0.0, 10**400)]),
     lambda: KeypointSet(()),
+    lambda: resample_trajectory(line_trajectory(20), 30.5),
+    lambda: align_bundle([line_trajectory(20)], 30.5),
+    # The same-length shortcut does not skip the check.
+    lambda: resample_trajectory(line_trajectory(30), 30.0),
 ], ids=["trajectory-overflow", "bundle-overflow", "keypoints-int", "keypoints-none",
-        "keypoints-overflow", "keypoints-empty"])
+        "keypoints-overflow", "keypoints-empty", "resample-float", "align-float",
+        "resample-same-length-float"])
 def test_constructor_raises_invalid_trajectory(build):
     with pytest.raises(InvalidTrajectoryError):
         build()

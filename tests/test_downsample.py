@@ -151,5 +151,9 @@ class TestUniformDownsample:
         assert uniform_downsample(tr, 30) is tr
 
     def test_target_too_small_rejected(self, rng):
-        with pytest.raises(DownsampleError):
-            uniform_downsample(random_trajectory(rng, n=10), 1)
+        tr = random_trajectory(rng, n=10)
+        # A count that is not an integer is refused by both thinners.
+        for thin, target in ((uniform_downsample, 1), (uniform_downsample, 10.5),
+                             (downsample, 10.5)):
+            with pytest.raises(DownsampleError):
+                thin(tr, target)

@@ -12,7 +12,6 @@ import rip.estimator
 from rip.core import align_bundle
 from rip.errors import TrainingError
 from rip.estimator import (
-    PARAM_KEYS,
     VAR_FLOOR,
     FitConfig,
     StudentTEstimator,
@@ -30,14 +29,21 @@ from rip.pipeline import run_rip
 from rip.policy import PolicyConfig, SyntheticOracleConfig, make_consensus_task
 
 
+def head_params(layers, i):
+    """Views of head i's W1 b1 W2 b2 W3 b3 in ``_flat_params`` layers;
+    head 0 is the mean head, head 1 the variance head."""
+    L1, (W2, b2), (W3, b3) = layers
+    return L1[i, :-1], L1[i, -1], W2[i], b2[i, 0], W3[i], b3[i, 0]
+
+
 def constant_estimator(mu_values, var_values, nu, hidden=(4, 4)):
     """Estimator whose mean/variance are constant in t: zero weights, set biases."""
     mu_values = np.asarray(mu_values, dtype=float)
     var_values = np.asarray(var_values, dtype=float)
     n = len(mu_values)
-    theta, params, _ = _flat_params(hidden, n)
-    params["mu_b3"][:] = mu_values
-    params["s_b3"][:] = np.log(np.expm1(var_values - VAR_FLOOR))
+    theta, layers = _flat_params(hidden, n)
+    head_params(layers, 0)[5][:] = mu_values
+    head_params(layers, 1)[5][:] = np.log(np.expm1(var_values - VAR_FLOOR))
     return StudentTEstimator(theta=theta, nu=nu, hidden=hidden, channel_shift=np.zeros(n),
                              channel_scale=np.ones(n))
 
@@ -50,9 +56,10 @@ def log_schedule(steps):
 
 
 def random_estimator(rng, hidden, n_channels, nu, affine=False):
-    theta, params, _ = _flat_params(hidden, n_channels)
-    for k in PARAM_KEYS:  # mu head then s head, W1 b1 W2 b2 W3 b3 each
-        params[k][...] = rng.normal(0.0, 0.4, params[k].shape)
+    theta, layers = _flat_params(hidden, n_channels)
+    for i in (0, 1):  # mu head then s head, W1 b1 W2 b2 W3 b3 each
+        for p in head_params(layers, i):
+            p[...] = rng.normal(0.0, 0.4, p.shape)
     shift = rng.normal(0.0, 1.0, n_channels) if affine else np.zeros(n_channels)
     scale = rng.uniform(0.5, 2.0, n_channels) if affine else np.ones(n_channels)
     return StudentTEstimator(theta=theta, nu=nu, hidden=hidden,
@@ -181,8 +188,8 @@ class TestLossGradient:
             grid = np.linspace(0, 1, 4)
             analytic = loss_gradient_array(data, grid, est)
             numeric = oracles.central_difference_gradient(
-                lambda: nll_loss_array(data, grid, est), est.params)
-            assert oracles.max_relative_error(analytic, numeric) <= 1e-4
+                lambda: nll_loss_array(data, grid, est), {"theta": est.theta})
+            assert oracles.max_relative_error({"theta": analytic}, numeric) <= 1e-4
 
     def test_symmetric_bundle_zeroes_mean_gradient(self):
         est = constant_estimator([0.0], [1.0], nu=1.5)
@@ -190,9 +197,8 @@ class TestLossGradient:
         c = 0.8
         data = np.stack([np.full((3, 1), c), np.full((3, 1), -c)])
         grads = loss_gradient_array(data, grid, est)
-        for key in PARAM_KEYS:
-            if key.startswith("mu"):
-                assert np.abs(grads[key]).max() == pytest.approx(0.0, abs=1e-12)
+        for g in head_params(_flat_params(est.hidden, 1, grads)[1], 0):
+            assert np.abs(g).max() == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_mode_is_large_nu_limit(self, rng):
         est_inf = random_estimator(rng, (5, 4), 2, math.inf)
@@ -201,7 +207,8 @@ class TestLossGradient:
         grid = np.linspace(0, 1, 5)
         g_inf = loss_gradient_array(data, grid, est_inf)
         g_big = loss_gradient_array(data, grid, est_big)
-        assert oracles.max_relative_error(g_big, g_inf, floor=1e-8) <= 1e-4
+        assert oracles.max_relative_error({"theta": g_big}, {"theta": g_inf},
+                                          floor=1e-8) <= 1e-4
 
     def test_bundle_api(self, rng):
         from conftest import random_trajectory
@@ -209,13 +216,14 @@ class TestLossGradient:
         bundle = align_bundle([random_trajectory(rng, n=8)], 8)
         est = constant_estimator([0.1] * 10, [1.0] * 10, nu=1.5)
         grads = loss_gradient_array(bundle.to_array(), bundle.grid(), est)
-        assert set(grads) == set(PARAM_KEYS)
+        assert grads.shape == est.theta.shape
 
     def test_builtin_checker_is_tight(self):
         assert gradient_check(seed=0, n_configs=6) <= 1e-4
 
     def test_builtin_checker_needs_a_config(self):
-        for n in (0, -2):
+        # The count is an integer: True, an int subclass, and 2.5 are refused.
+        for n in (0, -2, True, 2.5):
             with pytest.raises(ValueError):
                 gradient_check(n_configs=n)
         for nus in ((), (math.nan,)):
@@ -287,8 +295,7 @@ class TestFit:
         grid = np.linspace(0, 1, 8)
         a, _ = fit_array(data, grid, FitConfig(seed=11, steps=500))
         b, _ = fit_array(data, grid, FitConfig(seed=11, steps=500))
-        for k in PARAM_KEYS:
-            assert np.array_equal(a.params[k], b.params[k])
+        assert np.array_equal(a.theta, b.theta)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported_with_step(self):
@@ -520,15 +527,14 @@ class TestFlatParameters:
         data = rng.normal(0, 0.2, (3, 6, 2))
         grid = np.linspace(0, 1, 6)
         est, _ = fit_array(data, grid, FitConfig(seed=0, steps=50))
-        params = est.params
-        assert set(params) == set(PARAM_KEYS)
-        assert sum(p.size for p in params.values()) == est.theta.size
-        assert all(np.shares_memory(p, est.theta) for p in params.values())
+        params = [p for i in (0, 1) for p in head_params(est._layers(), i)]
+        assert sum(p.size for p in params) == est.theta.size
+        assert all(np.shares_memory(p, est.theta) for p in params)
         mu0, var0 = est.mean_and_variance(grid)
         est.theta *= 1.5
         mu1, var1 = est.mean_and_variance(grid)
         assert not np.allclose(mu0, mu1) and not np.allclose(var0, var1)
-        np.testing.assert_array_equal(est.params["mu_b3"], params["mu_b3"])
+        np.testing.assert_array_equal(head_params(est._layers(), 0)[5], params[5])
 
     def test_theta_size_checked(self):
         est = constant_estimator([0.0], [1.0], nu=1.5)

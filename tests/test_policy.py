@@ -73,6 +73,13 @@ class TestConsensusTask:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             make_consensus_task(0, "juggle")
+        # Settings the task would ignore or fail on later, whatever its shape.
+        for shape in ("reach", "pick"):
+            for kwargs in (dict(pick_profile="bogus"), dict(demo_drift=-1.0),
+                           dict(demo_drift=math.inf), dict(demo_wobble=math.nan),
+                           dict(demo_wobble=-0.002)):
+                with pytest.raises(ValueError):
+                    make_consensus_task(0, shape, **kwargs)
 
 
 class TestSyntheticOracle:
