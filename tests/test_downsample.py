@@ -152,7 +152,7 @@ class TestUniformDownsample:
 
     def test_target_too_small_rejected(self, rng):
         tr = random_trajectory(rng, n=10)
-        # A count that is not an integer is refused by both thinners.
+        # A target below 2, or one that is not an integer, is refused.
         for thin, target in ((uniform_downsample, 1), (uniform_downsample, 10.5),
                              (downsample, 10.5)):
             with pytest.raises(DownsampleError):
