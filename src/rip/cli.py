@@ -250,10 +250,7 @@ def cmd_preprocess(args) -> int:
 
     thin = downsample if args.mode == "g-based" else uniform_downsample
     result = thin(trajectory, args.target_len)
-    out_payload = jsonio.trajectory_to_dict(result)
-    if "keypoints" in payload:
-        out_payload["keypoints"] = payload["keypoints"]
-    jsonio.save_json(out_payload, args.out)
+    jsonio.save_json(jsonio.with_actions(payload, result), args.out)
     print(f"wrote {args.out} ({len(trajectory)} -> {len(result)} steps)")
     return EXIT_OK
 

@@ -313,9 +313,9 @@ def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grad
     step and the (T, B) ``onehot`` sums the output gradients of the pairs
     (values ``rows`` (B, D) at steps ``t_idx``, weight ``w`` each) onto
     them. ``onehot=None`` says the rows are a whole (Q, T, D) bundle in
-    sample order, so a sum over its samples does the same job without the
-    (T, Q*T) matmul. ``floor`` is the standardized variance floor and
-    ``bufs`` the ``_step_buffers``. Returns dout (2, T, D).
+    sample order, a full batch or ``loss_gradient_array``'s bundle, and
+    are summed over their samples. ``floor`` is the standardized variance
+    floor and ``bufs`` the ``_step_buffers``. Returns dout (2, T, D).
     """
     h1, h2, out, dout, soft, sig, var, mu, partials, work = bufs
     _forward(layers, X1, h1, h2, out)
@@ -479,13 +479,12 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
     full_batch = n_q * n_t <= config.batch_size
     if full_batch:
-        t_idx, a = t_of_pair, flat
-        onehot = (grid_index == t_idx).astype(_TRAIN_DTYPE)
+        t_idx, a, onehot = t_of_pair, flat, None
     else:
         onehot = np.empty((n_t, config.batch_size), dtype=_TRAIN_DTYPE)
         a = np.empty((config.batch_size, n_d), dtype=_TRAIN_DTYPE)
-    w = 1.0 / onehot.shape[1]
-    bufs = _step_buffers(config.hidden, n_t, onehot.shape[1], n_d, _TRAIN_DTYPE)
+    w = 1.0 / len(a)
+    bufs = _step_buffers(config.hidden, n_t, len(a), n_d, _TRAIN_DTYPE)
     chunk_size = 512
 
     # The loss schedule of the docstring; only its last `window` points run.

@@ -66,6 +66,17 @@ def trajectory_from_dict(obj: dict) -> Trajectory:
     return Trajectory(rows)
 
 
+def with_actions(obj: dict, trajectory: Trajectory) -> dict:
+    """A trajectory or demonstration object with its actions replaced by
+    ``trajectory``'s. A demonstration's keypoints are checked as a
+    context's are and kept as written."""
+    out = trajectory_to_dict(trajectory)
+    if "keypoints" in obj:
+        KeypointSet(_points(obj["keypoints"], "keypoints"))
+        out["keypoints"] = obj["keypoints"]
+    return out
+
+
 def context_to_dict(context: PolicyContext) -> dict:
     return {
         "demonstrations": [

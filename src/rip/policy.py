@@ -21,7 +21,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,17 +309,24 @@ def _planted_slots(cfg: SyntheticOracleConfig, q: int) -> set[int]:
 
 
 class _QueryAudit:
-    """JSONL request/response log, append-only, safe across worker threads."""
+    """JSONL request/response log, append-only, safe across worker threads.
+
+    The file is opened when the log is built, so an unwritable path fails
+    before any query is posted; ``close`` it once the queries have ended.
+    """
 
     def __init__(self, path):
-        self._path = path
+        self._file = open(path, "a", encoding="utf-8")
         self._lock = threading.Lock()
 
     def write(self, record: dict):
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            self._file.write(line + "\n")
+            self._file.flush()
+
+    def close(self):
+        self._file.close()
 
 
 class _FirstWave:
@@ -470,9 +477,10 @@ def sample_trajectories(context: PolicyContext, config: PolicyConfig) -> list[Sa
             results.append(SampleResult(i, traj, "ok"))
         return results
 
-    audit = _QueryAudit(config.log_queries_path) if config.log_queries_path else None
-    client = RemotePolicyClient(config.remote, audit=audit)
-    return sample_with_client(context, config, client)
+    path = config.log_queries_path
+    with (closing(_QueryAudit(path)) if path else nullcontext()) as audit:
+        client = RemotePolicyClient(config.remote, audit=audit)
+        return sample_with_client(context, config, client)
 
 
 def _start_query_pool():

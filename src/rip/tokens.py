@@ -103,17 +103,27 @@ def encode_context(context: PolicyContext, preamble: str | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _action_block(text: str, limit: int) -> list[str]:
+    """The first run of at least two consecutive action lines in ``text``,
+    cut off at ``limit`` lines; fewer than two lines when there is none."""
+    block: list[str] = []
+    for line in text.splitlines():
+        if _ACTION_LINE.fullmatch(line):
+            block.append(line)
+            if len(block) == limit:
+                break
+        elif len(block) >= 2:
+            break
+        else:
+            block = []
+    return block
+
+
 def has_action_block(text: str) -> bool:
     """Whether ``text`` holds two consecutive action lines, which
     ``decode_trajectory`` needs to succeed. False means it would raise the
     "no action block found" error; True does not mean it decodes."""
-    previous = False
-    for line in text.splitlines():
-        current = _ACTION_LINE.fullmatch(line) is not None
-        if previous and current:
-            return True
-        previous = current
-    return False
+    return len(_action_block(text, 2)) == 2
 
 
 def decode_trajectory(text: str) -> Trajectory:
@@ -125,22 +135,12 @@ def decode_trajectory(text: str) -> Trajectory:
     lies outside the encodable range of +-MAX_COORDINATE_M, or a gripper
     token is outside {0, 1}.
     """
-    block: list[str] = []
-    for line in text.splitlines():
-        if _ACTION_LINE.fullmatch(line):
-            block.append(line)
-            if len(block) > MAX_ACTION_LINES:
-                raise MalformedResponseError(
-                    f"action block longer than {MAX_ACTION_LINES} lines")
-        elif len(block) >= 2:
-            break
-        else:
-            block = []
-
+    block = _action_block(text, MAX_ACTION_LINES + 1)
     if len(block) < 2:
         raise MalformedResponseError(
-            "no action block found: expected >= 2 consecutive lines of 10 integers"
-        )
+            "no action block found: expected >= 2 consecutive lines of 10 integers")
+    if len(block) > MAX_ACTION_LINES:
+        raise MalformedResponseError(f"action block longer than {MAX_ACTION_LINES} lines")
 
     # numpy's C text reader splits on the same Unicode whitespace as
     # str.split. Parsed as floats, a token of any length is a number (inf

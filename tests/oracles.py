@@ -241,10 +241,9 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
     curve = []
     if full_batch:
         t_idx, a = t_of_pair, flat
-        onehot = (grid_index == t_idx).astype(f32)
     else:
         onehot = np.empty((n_t, batch_size), dtype=f32)
-    w = 1.0 / onehot.shape[1]
+    w = 1.0 / (n_q * n_t if full_batch else batch_size)
     h1_buf, h2_buf, out, dout = (np.empty((2, n_t, n), dtype=f32) for n in (h1, h2, n_d, n_d))
     chunk_size = 512
     warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
@@ -264,7 +263,7 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
         warm = warm_start * (warm_end / warm_start) ** progress
         floor = np.maximum(floor_std, warm)
 
-        # Forward, t-likelihood partials, one-hot sums, softplus factor.
+        # Forward, t-likelihood partials, sums onto grid steps, softplus factor.
         _ref_forward(layers, features, h1_buf, h2_buf, out)
         soft = _ref_softplus(out[1])
         var = soft[t_idx]
@@ -277,8 +276,12 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
             denom = nu * var + r * r
             dmu = (-(nu + 1.0) * w) * r / denom
             dvar = (0.5 * w) / var - ((nu + 1.0) / 2.0 * w) * r * r / (var * denom)
-        np.matmul(onehot, dmu, out=dout[0])
-        np.matmul(onehot, dvar, out=dout[1])
+        if full_batch:  # the whole bundle in sample order: sum over samples
+            dmu.reshape(n_q, n_t, n_d).sum(axis=0, out=dout[0])
+            dvar.reshape(n_q, n_t, n_d).sum(axis=0, out=dout[1])
+        else:
+            np.matmul(onehot, dmu, out=dout[0])
+            np.matmul(onehot, dvar, out=dout[1])
         dout[1] *= np.exp(out[1] - soft)
 
         # Backward into the gradient's layer views.

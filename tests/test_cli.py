@@ -146,6 +146,29 @@ class TestPreprocess:
                     "--mode", "uniform", "--target-len", "20"]) == EXIT_OK
         assert len(jsonio.load_trajectory(out)) == 20
 
+    def demo_file(self, tmp_path, keypoints):
+        from conftest import line_trajectory
+
+        src = tmp_path / "in.json"
+        demo = {**jsonio.trajectory_to_dict(line_trajectory(40)), "keypoints": keypoints}
+        jsonio.save_json(demo, src)
+        return ["preprocess", "--input", str(src), "--out", str(tmp_path / "out.json"),
+                "--target-len", "20"]
+
+    def test_demonstration_keeps_its_keypoints_as_written(self, tmp_path):
+        assert run(self.demo_file(tmp_path, [[1, 0, -0.5], [0, 2, 3]])) == EXIT_OK
+        out = jsonio.load_json(tmp_path / "out.json")
+        assert out["keypoints"] == [[1, 0, -0.5], [0, 2, 3]]
+        assert isinstance(out["keypoints"][0][0], int)
+        assert len(jsonio.trajectory_from_dict(out)) == 20
+
+    @pytest.mark.parametrize("keypoints", ["garbage", 5, [["a", "b", "c"]], [], [[1, 2]],
+                                           [[float("inf"), 0, 0]], None])
+    def test_bad_demonstration_keypoints_write_nothing(self, tmp_path, keypoints):
+        # The written file could not be loaded as a context's demonstration.
+        assert run(self.demo_file(tmp_path, keypoints)) == EXIT_RUNTIME
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         assert run(["preprocess", "--input", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o.json")]) == 2

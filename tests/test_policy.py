@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -318,14 +319,36 @@ class TestRemoteClient:
         def post(url, body, timeout, headers):
             return fake_completion(consensus)
 
-        client = RemotePolicyClient(remote_config(), post_fn=post,
-                                    audit=_QueryAudit(path))
-        client.query_one("prompt text", 3)
-        lines = path.read_text().strip().splitlines()
+        with closing(_QueryAudit(path)) as audit:
+            client = RemotePolicyClient(remote_config(), post_fn=post, audit=audit)
+            client.query_one("prompt text", 3)
+            lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["query_index"] == 3
         assert record["request"]["prompt"] == "prompt text"
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_sampling_call_opens_its_audit_log_before_posting(self, monkeypatch, tmp_path,
+                                                              writable):
+        ctx, consensus = make_consensus_task(0, "reach")
+        calls = []
+
+        def post(url, body, timeout, headers):
+            calls.append(url)
+            return fake_completion(consensus)
+
+        monkeypatch.setattr("rip.policy._default_post", post)
+        path = tmp_path / ("audit.jsonl" if writable else "missing/audit.jsonl")
+        config = PolicyConfig(backend="remote", query_count=3, remote=remote_config(),
+                              log_queries_path=str(path))
+        if writable:
+            assert [r.status for r in sample_trajectories(ctx, config)] == ["ok"] * 3
+            assert len(path.read_text().splitlines()) == 3 == len(calls)
+        else:
+            with pytest.raises(OSError):
+                sample_trajectories(ctx, config)
+            assert calls == []
 
 
 
