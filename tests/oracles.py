@@ -183,8 +183,7 @@ def _ref_nll(data, grid, layers, shift, scale, nu):
     return -float(np.sum(lp))
 
 
-def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
-                  learning_rate=1e-2, seed=0):
+def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-2, seed=0):
     """The training loop with its allocations and every loss log.
 
     Returns the trained float64 parameter vector (``_flat_params`` layout)
@@ -228,47 +227,30 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
     grads = _ref_layers(hidden, n_d, grad)
     features = _ref_features(grid).astype(f32)
     features_t = np.ascontiguousarray(features.T)
-    flat = data_std.reshape(n_q * n_t, n_d).astype(f32)
-    t_of_pair = np.tile(np.arange(n_t), n_q)
-    grid_index = np.arange(n_t)[:, None]
+    data_f32 = data_std.astype(f32)
     eval_layers = _ref_layers(hidden, n_d, theta)
 
     m = np.zeros_like(theta_train)
     v = np.zeros_like(theta_train)
     buf = np.empty_like(theta_train)
-    full_batch = n_q * n_t <= batch_size
     log_every = max(1, steps // 200)
     curve = []
-    if full_batch:
-        t_idx, a = t_of_pair, flat
-    else:
-        onehot = np.empty((n_t, batch_size), dtype=f32)
-    w = 1.0 / (n_q * n_t if full_batch else batch_size)
+    w = 1.0 / (n_q * n_t)
     h1_buf, h2_buf, out, dout = (np.empty((2, n_t, n), dtype=f32) for n in (h1, h2, n_d, n_d))
-    chunk_size = 512
     warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for step in range(1, steps + 1):
-        if not full_batch:
-            pos = (step - 1) % chunk_size
-            if pos == 0:
-                batch_chunk = rng.integers(0, n_q * n_t, size=(chunk_size, batch_size))
-                t_chunk = t_of_pair[batch_chunk]
-            t_idx = t_chunk[pos]
-            a = flat[batch_chunk[pos]]
-            np.equal(grid_index, t_idx, out=onehot)
-
         progress = min(1.0, step / (warm_frac * steps))
         warm = warm_start * (warm_end / warm_start) ** progress
         floor = np.maximum(floor_std, warm)
 
-        # Forward, t-likelihood partials, sums onto grid steps, softplus factor.
+        # Forward, t-likelihood partials on the whole bundle, sums over
+        # samples, softplus factor.
         _ref_forward(layers, features, h1_buf, h2_buf, out)
         soft = _ref_softplus(out[1])
-        var = soft[t_idx]
-        var += floor
-        r = a - out[0][t_idx]
+        var = soft + floor
+        r = data_f32 - out[0]
         if math.isinf(nu):
             dmu = (-w) * r / var
             dvar = (0.5 * w) / var - (0.5 * w) * r * r / (var * var)
@@ -276,12 +258,8 @@ def reference_fit(data, grid, nu, hidden=(64, 64), batch_size=64, steps=4000,
             denom = nu * var + r * r
             dmu = (-(nu + 1.0) * w) * r / denom
             dvar = (0.5 * w) / var - ((nu + 1.0) / 2.0 * w) * r * r / (var * denom)
-        if full_batch:  # the whole bundle in sample order: sum over samples
-            dmu.reshape(n_q, n_t, n_d).sum(axis=0, out=dout[0])
-            dvar.reshape(n_q, n_t, n_d).sum(axis=0, out=dout[1])
-        else:
-            np.matmul(onehot, dmu, out=dout[0])
-            np.matmul(onehot, dvar, out=dout[1])
+        dmu.sum(axis=0, out=dout[0])
+        dvar.sum(axis=0, out=dout[1])
         dout[1] *= np.exp(out[1] - soft)
 
         # Backward into the gradient's layer views.

@@ -66,6 +66,24 @@ class TestAggregate:
         assert run(["aggregate", "--backend", "remote",
                     "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
 
+    # Flags only the remote backend reads are usage errors on the synthetic
+    # backend, named or by default, and the command writes nothing.
+    @pytest.mark.parametrize("flag, value", [
+        ("--endpoint", "http://127.0.0.1:9/v1"), ("--model", "m2"), ("--temperature", "0.5"),
+        ("--timeout", "7.5"), ("--max-retries", "4"), ("--preamble-file", "preamble.txt"),
+        ("--log-queries", "queries.jsonl"),
+    ])
+    @pytest.mark.parametrize("backend", [[], ["--backend", "synthetic"]],
+                             ids=["default-backend", "synthetic"])
+    def test_remote_only_flags_refused_on_synthetic(self, tmp_path, flag, value, backend):
+        (tmp_path / "preamble.txt").write_text("PREAMBLE", encoding="utf-8")
+        if flag in ("--preamble-file", "--log-queries"):
+            value = str(tmp_path / value)
+        out = tmp_path / "t.json"
+        assert run(["aggregate", "--q", "2", "--fit-steps", "50", "--out", str(out),
+                    "--report", str(tmp_path / "r.json"), flag, value, *backend]) == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preamble.txt"]
+
     def test_deeply_nested_context_is_runtime_error(self, tmp_path):
         ctx = tmp_path / "ctx.json"
         ctx.write_bytes(DEEP_JSON)
@@ -305,13 +323,13 @@ class TestParser:
 # Each subcommand's options; no flag is added or removed silently.
 OPTIONS = {
     "aggregate": {
-        "--backend", "--batch-size", "--context", "--endpoint", "--fit-lr", "--fit-steps",
+        "--backend", "--context", "--endpoint", "--fit-lr", "--fit-steps",
         "--hallucination-mode", "--hallucination-offset", "--hallucination-prob", "--hidden",
         "--log-queries", "--max-retries", "--method", "--model", "--noise-scale", "--nu",
         "--out", "--preamble-file", "--q", "--report", "--seed", "--task-shape",
         "--temperature", "--timeout"},
     "sweep": {
-        "--append", "--batch-size", "--fit-lr", "--fit-steps", "--hallucination-mode",
+        "--append", "--fit-lr", "--fit-steps", "--hallucination-mode",
         "--hallucination-offset", "--hallucination-prob", "--hidden", "--noise-scale",
         "--nu-grid", "--out", "--plot-data", "--q-grid", "--seed", "--task-shape", "--trials",
         "--workers"},
@@ -357,7 +375,7 @@ def flags_in(argv):
 class TestFlagsReachConfigs:
     # Every flag gets a value other than its default; the configs handed
     # to the library must carry each one.
-    FIT = ["--fit-steps", "123", "--fit-lr", "0.02", "--batch-size", "16", "--hidden", "8", "12"]
+    FIT = ["--fit-steps", "123", "--fit-lr", "0.02", "--hidden", "8", "12"]
     ORACLE = ["--task-shape", "reach", "--noise-scale", "0.001", "--hallucination-prob", "0.4",
               "--hallucination-offset", "0.3", "--hallucination-mode", "random-walk"]
 
@@ -377,7 +395,7 @@ class TestFlagsReachConfigs:
         with pytest.raises(_Captured):
             main(argv)
         (_context, policy, fit), _ = calls[0]
-        assert fit == FitConfig(hidden=(8, 12), nu=2.5, batch_size=16, steps=123,
+        assert fit == FitConfig(hidden=(8, 12), nu=2.5, steps=123,
                                 learning_rate=0.02, seed=3)
         assert policy == PolicyConfig(
             backend="remote", query_count=7,
@@ -402,7 +420,7 @@ class TestFlagsReachConfigs:
             oracle=SyntheticOracleConfig(
                 task_shape="reach", noise_scale=0.001, hallucination_prob=0.4,
                 hallucination_offset=0.3, hallucination_mode="random-walk"),
-            fit=FitConfig(hidden=(8, 12), batch_size=16, steps=123, learning_rate=0.02))
+            fit=FitConfig(hidden=(8, 12), steps=123, learning_rate=0.02))
 
     def test_downsample_bench(self, monkeypatch):
         calls = capture_calls(monkeypatch, "rip.bench.run_downsample_bench")

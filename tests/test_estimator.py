@@ -305,12 +305,12 @@ class TestFit:
             fit_array(data, grid, FitConfig(steps=50))
         assert err.value.step is not None
 
-    def test_full_batch_used_for_small_bundles(self):
-        data = np.random.default_rng(1).normal(0, 1, (2, 5, 1))  # 10 pairs < 64
+    def test_seed_only_changes_the_initialisation(self):
+        data = np.random.default_rng(1).normal(0, 1, (2, 5, 1))
         grid = np.linspace(0, 1, 5)
         a, _ = fit_array(data, grid, FitConfig(seed=0, steps=300))
         b, _ = fit_array(data, grid, FitConfig(seed=999, steps=300))
-        # Full-batch path has no sampling noise; different seeds only change init.
+        # Every step trains on the whole bundle, so there is no sampling noise.
         assert np.abs(mean_curve(a, grid) - mean_curve(b, grid)).max() < 0.2
 
 
@@ -331,7 +331,7 @@ class TestTrainingPrecision:
 
     @pytest.fixture(scope="class")
     def fitted(self):
-        data = np.random.default_rng(3).normal(0, 0.3, (4, 30, 3))  # minibatch path
+        data = np.random.default_rng(3).normal(0, 0.3, (4, 30, 3))
         grid = np.linspace(0, 1, 30)
         est, loss_curve = fit_array(data, grid, FitConfig(seed=4, steps=300))
         return data, grid, est, loss_curve
@@ -353,7 +353,7 @@ class TestTrainingPrecision:
         assert final_loss == nll_loss_array(data, grid, est)
 
     @pytest.mark.parametrize("nu, shape", [(1.5, (4, 30, 3)), (math.inf, (2, 5, 1))],
-                             ids=["t-minibatch", "gaussian-full-batch"])
+                             ids=["t-4x30x3", "gaussian-2x5x1"])
     def test_no_float64_array_enters_the_loop(self, monkeypatch, nu, shape):
         # One float64 operand would silently upcast the whole step, and
         # that includes the buffers the step writes into.
@@ -390,8 +390,8 @@ class TestTrainingPrecision:
     def test_matches_float64_training(self, monkeypatch):
         # Pick bundles (Q=5 with hallucinations) fitted at both precisions.
         # Measured on these seeds: the extracted means differ by at most
-        # 1.01 mm (3.55 mm over seeds 0-9); the bound leaves room for another
-        # BLAS to round differently.
+        # 0.18 mm (also 0.18 mm over seeds 0-9); the bound leaves room for
+        # another BLAS to round differently.
         results = {}
         for dtype in (np.float32, np.float64):
             monkeypatch.setattr(rip.estimator, "_TRAIN_DTYPE", dtype)
@@ -433,12 +433,12 @@ class TestReferenceLoop:
     """fit_array against the allocating loop with every loss log, bit for bit."""
 
     @pytest.mark.parametrize("nu, shape, hidden, steps", [
-        (1.5, (4, 30, 3), (64, 64), 600),        # t, minibatch, chunk refill
-        (math.inf, (2, 5, 1), (8, 6), 300),       # Gaussian, full batch
-        (4.0, (3, 60, 2), (64, 64), 250),         # t, minibatch, T >= 50
-        (math.inf, (2, 70, 10), (64, 64), 250),   # Gaussian, minibatch, T >= 50
-        (1.5, (3, 20, 2), (16, 12), 120),         # t, full batch
-    ], ids=["t-minibatch", "gaussian-full-batch", "t-long", "gaussian-long", "t-full-batch"])
+        (1.5, (4, 30, 3), (64, 64), 600),
+        (math.inf, (2, 5, 1), (8, 6), 300),
+        (4.0, (3, 60, 2), (64, 64), 250),         # T >= 50
+        (math.inf, (2, 70, 10), (64, 64), 250),   # T >= 50, ten channels
+        (1.5, (3, 20, 2), (16, 12), 120),
+    ], ids=["t-4x30x3", "gaussian-2x5x1", "t-3x60x2", "gaussian-2x70x10", "t-3x20x2"])
     def test_bit_equal_to_reference(self, nu, shape, hidden, steps):
         rng = np.random.default_rng(sum(shape))
         data = rng.normal(0, 0.3, shape)
@@ -453,6 +453,19 @@ class TestReferenceLoop:
 
 
 class TestRobustnessOrdering:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_outlier_at_300_steps(self, seed):
+        # Criterion 4's bundle at a tenth of its steps. Every step trains on
+        # all rows, so the Gaussian mean is the sample mean, 2.0, and the t
+        # mean ignores the outlier, whatever the seed.
+        data = np.zeros((5, 20, 1))
+        data[4] = 10.0
+        grid = np.linspace(0.0, 1.0, 20)
+        g_est, _ = fit_array(data, grid, FitConfig(nu=math.inf, seed=seed, steps=300))
+        t_est, _ = fit_array(data, grid, FitConfig(nu=1.5, seed=seed, steps=300))
+        assert np.abs(mean_curve(g_est, grid) - 2.0).max() <= 1e-3
+        assert np.abs(mean_curve(t_est, grid)).max() <= 0.01
+
     def test_planted_outlier_rmse_ratio(self):
         wins = 0
         seeds = range(8)
@@ -547,7 +560,7 @@ class TestFitConfig:
         dict(nu=0.0), dict(steps=0), dict(hidden=(0, 4)),
         # Integer fields refuse floats and bools when the config is built,
         # not later inside numpy or range().
-        dict(steps=10.5), dict(batch_size=8.0), dict(hidden=(8.5, 8)),
+        dict(steps=10.5), dict(hidden=(8.5, 8)),
         dict(seed=1.5), dict(steps=True),
     ])
     def test_validation(self, kwargs):
@@ -555,9 +568,16 @@ class TestFitConfig:
             FitConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        cfg = FitConfig(hidden=(np.int64(8), 8), batch_size=np.int32(16),
-                        steps=np.int64(10), seed=np.uint8(3))
+        cfg = FitConfig(hidden=(np.int64(8), np.int32(8)), steps=np.int64(10),
+                        seed=np.uint8(3))
         assert cfg.hidden == (8, 8) and cfg.steps == 10
+
+    def test_batch_size_is_not_a_field(self):
+        # Every step trains on the whole bundle; no caller can set a batch.
+        assert "batch_size" not in {f.name for f in dataclasses.fields(FitConfig)}
+        assert FitConfig().batch_size == math.inf
+        with pytest.raises(TypeError):
+            FitConfig(batch_size=64)
 
     def test_immutable_and_hashable(self):
         # From Python 3.11 on, dataclasses reject an unhashable field

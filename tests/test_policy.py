@@ -635,6 +635,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PolicyConfig(backend="remote", query_count=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(remote=RemoteConfig(endpoint="x")), dict(preamble="PREAMBLE"),
+        dict(log_queries_path="queries.jsonl"),
+    ], ids=["remote", "preamble", "log_queries_path"])
+    def test_synthetic_refuses_remote_only_settings(self, kwargs):
+        # The synthetic backend reads none of these; the remote backend reads each.
+        with pytest.raises(ValueError):
+            PolicyConfig(backend="synthetic", **kwargs)
+        PolicyConfig(backend="remote", **{"remote": RemoteConfig(endpoint="x"), **kwargs})
+
     def test_temperature_nonnegative(self):
         with pytest.raises(ValueError):
             RemoteConfig(endpoint="x", temperature=-0.1)
