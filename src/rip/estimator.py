@@ -187,7 +187,7 @@ class FitConfig:
     learning_rate: float = 1e-2
     seed: int = 0
     # Not a field: every step trains on all Q*T rows. perfbench's traced
-    # replay reads it as the row count min(batch_size, Q*T).
+    # replay reads this as its row count, min(this, Q*T).
     batch_size = math.inf
 
     def __post_init__(self):
