@@ -120,6 +120,12 @@ def _add_flags(parser, table, *flags):
         parser.add_argument(flag, default=argparse.SUPPRESS, **table[flag][1])
 
 
+def _given(args, flags) -> list:
+    """The flags among ``flags`` that were given, in order."""
+    given = vars(args)
+    return [flag for flag in flags if given.get(flag[2:].replace("-", "_")) is not None]
+
+
 def _config(base, args, table, **fixed):
     """``base`` with the fields of the ``table`` flags given in ``args``,
     then ``fixed``. A value the config rejects is a usage error."""
@@ -143,15 +149,13 @@ def _bench_settings(base, args, table):
 
 
 def _policy_config(args, oracle) -> PolicyConfig:
-    given = vars(args)
     remote = None
-    if given.get("backend") == "remote":
+    if vars(args).get("backend") == "remote":
         if not args.endpoint:
             raise _UsageError("--endpoint is required with --backend remote")
         remote = _config(RemoteConfig(args.endpoint), args, _REMOTE_FLAGS)
     else:
-        ignored = [flag for flag in ("--endpoint", *_REMOTE_FLAGS)
-                   if given.get(flag[2:].replace("-", "_")) is not None]
+        ignored = _given(args, ("--endpoint", *_REMOTE_FLAGS))
         if ignored:
             raise _UsageError(f"{', '.join(ignored)} need --backend remote")
     preamble = None
@@ -163,6 +167,11 @@ def _policy_config(args, oracle) -> PolicyConfig:
 
 def cmd_aggregate(args) -> int:
     seed = args.seed
+    if args.method == "single_sample":
+        # One raw query, no fit: a query count or a fit setting would do nothing.
+        ignored = _given(args, (*_FIT_FLAGS, "--q"))
+        if ignored:
+            raise _UsageError(f"--method single_sample takes no {', '.join(ignored)}")
     # One aggregation on the sweep's task, by default.
     oracle = _config(bench.SweepSettings().oracle, args, _ORACLE_FLAGS, seed=seed)
     policy = _policy_config(args, oracle)

@@ -16,9 +16,13 @@ precisions give the same gripper steps and means within 0.18 mm, against
 instruction of a step handles. Everything outside the training loop is
 float64: the fitted estimator, its evaluation and the logged loss.
 Each training step writes its forward pass, likelihood terms and Adam
-update into buffers allocated once per fit, and the full-bundle loss is
-evaluated only at the last points of the log schedule, the ones the fit's
-loss curve keeps (see ``fit_array``).
+update into buffers allocated once per fit.
+
+The variance-floor warmup and the learning-rate decay anneal over at most
+``ANNEAL_STEPS`` steps, whatever the budget. A larger budget is a cap: past
+the annealing phase the full-bundle loss is checked every ``CHECK_EVERY``
+steps, and the fit stops once it has plateaued. The loss is evaluated only
+at the points the fit's loss curve keeps (see ``fit_array``).
 
 The analytic gradient runs the training step's own gradient function in
 float64, so the finite-difference check in the bench CLI and tests
@@ -59,6 +63,16 @@ VAR_FLOOR = 1e-6
 # Loss points at the end of a fit that a run report keeps; fit_array always
 # evaluates at least these.
 REPORT_TAIL = 20
+
+# The warmup and the learning-rate decay run over min(steps, ANNEAL_STEPS)
+# steps. Past that horizon the loss is checked every CHECK_EVERY steps, and
+# the fit stops at the first check whose loss fell by less than PLATEAU_TOL
+# nats per value (Q*T*D values) since the check before. On 30 Q=5 pick
+# episodes, budgets of 300, 600, 1,000 and 4,000 steps scored the same
+# successes and RMSE within 0.1 mm, so steps past a plateau buy nothing.
+ANNEAL_STEPS = 600
+CHECK_EVERY = 100
+PLATEAU_TOL = 2.5e-3
 
 FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
 
@@ -164,9 +178,16 @@ class FitConfig:
     """Training hyperparameters for the action estimator.
 
     Defaults follow the published settings where they exist (hidden sizes
-    64x64, nu 1.5, Adam, learning rate 1e-2); the step count defaults to a
-    desk-scale 4000, which converges on bundles of a handful of
-    trajectories, and can be raised to the full 4e4.
+    64x64, nu 1.5, Adam, learning rate 1e-2). ``steps`` is a cap, not a
+    count: the warmup and the learning-rate decay anneal over at most
+    ``ANNEAL_STEPS`` (600) steps, and a larger budget stops once the loss
+    plateaus (see ``fit_array``). The cap defaults to a desk-scale 4000;
+    the paper's budget is 4e4 steps, the faithful setting. On the sweep
+    oracle (Q=5, nu 1.5, 50 trials) budgets of 300, 600, 1,000 and 3,000
+    steps scored within one trial of each other, and at a 3,000-step cap
+    the stop kept every trial's success and the median RMSE (0.90 and
+    2.18 mm at hallucination rate 0.2, 0.70 and 3.58 mm at 0.4). t fits of
+    pick bundles stop at step 700 to 1,000, Gaussian fits by step 2,600.
 
     The published minibatch of 64 was replaced on measurement: every step
     trains on the whole bundle. The network's only input is the grid time,
@@ -411,15 +432,25 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     """Full-batch Adam on the NLL of a (Q, T, D) array over grid (T,).
 
     Every step trains on all Q*T values, each weighted 1 / (Q*T), so the
-    seed sets only the initialisation. Returns the fitted estimator and
-    its loss curve: (step, full-bundle NLL) pairs at the last
-    ``max(REPORT_TAIL, 2 * tail_n)`` points of the log schedule (every
-    ``max(1, steps // 200)`` steps plus the last step, n points, with
-    ``tail_n = max(1, n // 10)``), or all n when n is smaller; the last
-    step is always included. That is 40 of the 200
-    points at 3,000 or 4,000 steps, and all 7 at 7 steps. Only those
-    points are evaluated: the report reads the last ``REPORT_TAIL``, and
-    the "still moving" warning compares the last two tenths.
+    seed sets only the initialisation. ``config.steps`` is a cap. The
+    variance-floor warmup and the cosine learning-rate decay run over the
+    horizon ``h = min(config.steps, ANNEAL_STEPS)``; after it the rate
+    stays at its final 1% and the floor at its final value. Past the
+    horizon the full-bundle loss is checked every ``CHECK_EVERY`` steps
+    and at the cap, and the fit stops at the first check whose loss fell
+    by less than ``PLATEAU_TOL * Q * T * D`` nats since the check before
+    (a rise included). A budget of at most ``ANNEAL_STEPS`` trains every
+    step. A fit that reaches a larger cap with its last check still
+    falling logs a "loss still falling" warning.
+
+    Returns the fitted estimator and its loss curve of (step, full-bundle
+    NLL) pairs. The annealing phase's log schedule is every
+    ``max(1, h // 200)`` steps plus step h, n points; the curve keeps its
+    last ``max(REPORT_TAIL, 2 * max(1, n // 10))`` points, or all n when n
+    is smaller, then every check up to the stop. At a cap above 600
+    steps that is steps 483 to 600, every 3 steps (40 points), then
+    steps 700, 800, ... up to the stop; at 7 steps it is all 7. Only those
+    points are evaluated; the report reads the last ``REPORT_TAIL``.
 
     The loop trains a float32 copy of the parameters on float32 data,
     features, gradients, Adam moments and pass buffers, which makes a fit
@@ -477,12 +508,14 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     est = StudentTEstimator(theta=theta, nu=config.nu, hidden=tuple(config.hidden),
                             channel_shift=shift, channel_scale=scale)
 
-    # The loss schedule of the docstring; only its last `window` points run.
-    log_every = max(1, config.steps // 200)
-    n_logs = -(-config.steps // log_every)
-    tail_n = max(1, n_logs // 10)
-    window = min(n_logs, max(REPORT_TAIL, 2 * tail_n))
-    first_log = min((n_logs - window + 1) * log_every, config.steps)
+    # The loss schedule of the docstring: the last `window` points of the
+    # annealing phase's schedule run, then the plateau checks.
+    horizon = min(config.steps, ANNEAL_STEPS)
+    log_every = max(1, horizon // 200)
+    n_logs = -(-horizon // log_every)
+    window = min(n_logs, max(REPORT_TAIL, 2 * max(1, n_logs // 10)))
+    first_log = min((n_logs - window + 1) * log_every, horizon)
+    tolerance = PLATEAU_TOL * data.size
     curve = []
 
     # Variance-floor warmup: while the floor is high, every channel sees
@@ -492,7 +525,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
 
     for step in range(1, config.steps + 1):
-        progress = min(1.0, step / (warm_frac * config.steps))
+        progress = min(1.0, step / (warm_frac * horizon))
         warm = warm_start * (warm_end / warm_start) ** progress
         dout = _nll_gradient(layers, features, features_t, data_train,
                              np.maximum(floor_std, warm), nu, w, bufs, grads)
@@ -504,7 +537,8 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         # Cosine decay to 1% of the base rate: a constant rate leaves the
         # optimizer rattling around the collapsed-variance optimum and the
         # late loss non-monotone.
-        lr = config.learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / config.steps)))
+        decay = 0.5 * (1.0 + math.cos(math.pi * min(step, horizon) / horizon))
+        lr = config.learning_rate * (0.01 + 0.99 * decay)
         np.multiply(grad, grad, out=grad_sq[1])
         moments *= betas
         moments += grad_sq
@@ -517,20 +551,22 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
         buf *= lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** step) / v_scale
         theta_train -= buf
 
-        # The last step always logs, so the estimator leaves the loop
-        # holding the trained parameters.
-        if step >= first_log and (step % log_every == 0 or step == config.steps):
+        # The last step always logs, and a stop follows a log, so the
+        # estimator leaves the loop holding the trained parameters.
+        if step <= horizon:
+            log = step >= first_log and (step % log_every == 0 or step == horizon)
+        else:
+            log = (step - horizon) % CHECK_EVERY == 0 or step == config.steps
+        if log:
             theta[...] = theta_train
             curve.append((step, nll_loss_array(data, grid, est)))
-
-    if n_logs >= 3 * tail_n:
-        losses = [l for _, l in curve]
-        tail = sum(losses[-tail_n:]) / tail_n
-        prev = sum(losses[-2 * tail_n:-tail_n]) / tail_n
-        if tail > prev + 1e-3 * max(1.0, abs(prev)):
+            if step > horizon and curve[-2][1] - curve[-1][1] < tolerance:
+                break
+    else:  # no check stopped the fit before its cap
+        if config.steps > horizon:
             logging.getLogger(__name__).warning(
-                "training loss still moving at the end of the run (%.6g -> %.6g); "
-                "consider more steps", prev, tail,
+                "training loss still falling at the %d-step cap (%.6g -> %.6g over the "
+                "last check); consider more steps", config.steps, curve[-2][1], curve[-1][1],
             )
 
     return est, curve

@@ -186,9 +186,14 @@ def _ref_nll(data, grid, layers, shift, scale, nu):
 def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-2, seed=0):
     """The training loop with its allocations and every loss log.
 
-    Returns the trained float64 parameter vector (``_flat_params`` layout)
-    and the loss curve at every point of the log schedule: every
-    ``max(1, steps // 200)`` steps and the last step.
+    The warmup and the learning-rate decay run over the first
+    ``h = min(steps, 600)`` steps. After step h the loss is checked every
+    100 steps and at ``steps``, and the loop stops at the first check
+    whose loss fell by less than ``2.5e-3 * data.size`` since the check
+    before. Returns the trained float64 parameter vector (``_flat_params``
+    layout) and the loss curve at every point of the log schedule: every
+    ``max(1, h // 200)`` steps and step h, then every check up to the
+    stop, the curve's last step.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -233,7 +238,8 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
     m = np.zeros_like(theta_train)
     v = np.zeros_like(theta_train)
     buf = np.empty_like(theta_train)
-    log_every = max(1, steps // 200)
+    horizon = min(steps, 600)
+    log_every = max(1, horizon // 200)
     curve = []
     w = 1.0 / (n_q * n_t)
     h1_buf, h2_buf, out, dout = (np.empty((2, n_t, n), dtype=f32) for n in (h1, h2, n_d, n_d))
@@ -241,7 +247,7 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for step in range(1, steps + 1):
-        progress = min(1.0, step / (warm_frac * steps))
+        progress = min(1.0, step / (warm_frac * horizon))
         warm = warm_start * (warm_end / warm_start) ** progress
         floor = np.maximum(floor_std, warm)
 
@@ -278,7 +284,10 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
             raise FloatingPointError(f"gradient became non-finite at step {step}")
 
         # Adam on moments kept without their (1 - beta) factors.
-        lr = learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / steps)))
+        if step <= horizon:
+            lr = learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / horizon)))
+        else:
+            lr = learning_rate * 0.01
         m *= beta1
         m += grad
         v *= beta2
@@ -291,9 +300,15 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
         buf *= lr * (1.0 - beta1) / (1.0 - beta1 ** step) / v_scale
         theta_train -= buf
 
-        if step % log_every == 0 or step == steps:
+        if step <= horizon:
+            logs = step % log_every == 0 or step == horizon
+        else:
+            logs = (step - horizon) % 100 == 0 or step == steps
+        if logs:
             theta[...] = theta_train
             curve.append((step, _ref_nll(data, grid, eval_layers, shift, scale, nu)))
+            if step > horizon and curve[-2][1] - curve[-1][1] < 2.5e-3 * data.size:
+                break
 
     return theta, curve
 

@@ -84,6 +84,19 @@ class TestAggregate:
                     "--report", str(tmp_path / "r.json"), flag, value, *backend]) == EXIT_USAGE
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preamble.txt"]
 
+    # single_sample asks once and fits nothing, so a query count or a fit
+    # setting is a usage error, and the command writes nothing.
+    @pytest.mark.parametrize("flag", [
+        ["--nu", "3"], ["--fit-steps", "50"], ["--fit-lr", "0.1"], ["--hidden", "8", "8"],
+        ["--q", "3"],
+    ], ids=lambda flag: flag[0])
+    def test_fit_flags_refused_with_single_sample(self, tmp_path, flag, capsys):
+        out = tmp_path / "t.json"
+        assert run(["aggregate", "--method", "single_sample", "--seed", "1",
+                    "--out", str(out), *flag]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        assert f"takes no {flag[0]}" in capsys.readouterr().err
+
     def test_deeply_nested_context_is_runtime_error(self, tmp_path):
         ctx = tmp_path / "ctx.json"
         ctx.write_bytes(DEEP_JSON)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 from collections import Counter
 
@@ -12,6 +13,8 @@ import rip.estimator
 from rip.core import align_bundle
 from rip.errors import TrainingError
 from rip.estimator import (
+    ANNEAL_STEPS,
+    PLATEAU_TOL,
     VAR_FLOOR,
     FitConfig,
     StudentTEstimator,
@@ -26,7 +29,12 @@ from rip.estimator import (
     _flat_params,
 )
 from rip.pipeline import run_rip
-from rip.policy import PolicyConfig, SyntheticOracleConfig, make_consensus_task
+from rip.policy import (
+    PolicyConfig,
+    SyntheticOracleConfig,
+    make_consensus_task,
+    sample_trajectories,
+)
 
 
 def head_params(layers, i):
@@ -49,10 +57,14 @@ def constant_estimator(mu_values, var_values, nu, hidden=(4, 4)):
 
 
 def log_schedule(steps):
-    """The steps fit_array's log schedule names: every max(1, steps // 200)
-    steps, and the last step."""
-    every = max(1, steps // 200)
-    return sorted(set(range(every, steps + 1, every)) | {steps})
+    """The steps fit_array's log schedule names if the fit runs to its cap:
+    every max(1, h // 200) steps of the annealing horizon
+    h = min(steps, ANNEAL_STEPS) and step h, then a check every 100 steps
+    and at the cap."""
+    h = min(steps, ANNEAL_STEPS)
+    every = max(1, h // 200)
+    return sorted(set(range(every, h + 1, every)) | {h}
+                  | set(range(h + 100, steps + 1, 100)) | {steps})
 
 
 def random_estimator(rng, hidden, n_channels, nu, affine=False):
@@ -269,15 +281,16 @@ class TestFit:
         assert mu_star == pytest.approx(2.0, abs=0.01)
 
     def test_loss_tail_settles(self, outlier_fits):
-        _, _, _, t_curve, _, g_curve = outlier_fits
-        # The last tenth of the log schedule against the tenth before it:
-        # 20 points each at the default 4,000 steps.
-        n = max(1, len(log_schedule(FitConfig().steps)) // 10)
+        # Both default-budget fits stop on a plateau before their cap: the
+        # last check fell by less than the tolerance, and the last ten kept
+        # losses average no higher than the ten before them.
+        data, _, _, t_curve, _, g_curve = outlier_fits
         for curve in (t_curve, g_curve):
             losses = [l for _, l in curve]
-            assert len(losses) >= 2 * n
-            tail = np.mean(losses[-n:])
-            prev = np.mean(losses[-2 * n:-n])
+            assert curve[-1][0] < FitConfig().steps
+            assert losses[-2] - losses[-1] < PLATEAU_TOL * data.size
+            tail = np.mean(losses[-10:])
+            prev = np.mean(losses[-20:-10])
             assert tail <= prev + 1e-3 * max(1.0, abs(prev))
 
     def test_translation_equivariance(self):
@@ -401,11 +414,56 @@ class TestTrainingPrecision:
             assert np.abs(single.data[:, :9] - double.data[:, :9]).max() <= PARITY_BOUND_M
 
 
+@pytest.fixture(scope="module")
+def pick_bundle():
+    """A Q=5 pick bundle from the synthetic oracle: the data and its grid."""
+    context, _ = make_consensus_task(1, "pick")
+    oracle = SyntheticOracleConfig(seed=1, task_shape="pick", noise_scale=0.005,
+                                   hallucination_prob=0.2, hallucination_offset=0.2)
+    samples = sample_trajectories(context, PolicyConfig(backend="synthetic", query_count=5,
+                                                        synthetic=oracle))
+    decoded = [s.trajectory for s in samples]
+    bundle = align_bundle(decoded, max(len(t) for t in decoded))
+    return bundle.data, bundle.grid()
+
+
+class TestStillFallingWarning:
+    """The warning names a fit that reached a cap above ANNEAL_STEPS still falling."""
+
+    def warnings(self, caplog, data, grid, config):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rip.estimator"):
+            _, loss_curve = fit_array(data, grid, config)
+        return loss_curve, [r.getMessage() for r in caplog.records]
+
+    def test_budget_that_runs_out_mid_descent_warns(self, caplog, pick_bundle):
+        # The Gaussian fit of this bundle is still falling by several times
+        # the tolerance when its 1,500-step cap ends it.
+        loss_curve, messages = self.warnings(caplog, *pick_bundle,
+                                             FitConfig(nu=math.inf, steps=1500, seed=3))
+        assert loss_curve[-1][0] == 1500
+        assert loss_curve[-2][1] - loss_curve[-1][1] >= PLATEAU_TOL * pick_bundle[0].size
+        assert len(messages) == 1 and "still falling at the 1500-step cap" in messages[0]
+
+    def test_plateaued_fit_does_not_warn(self, caplog, pick_bundle):
+        loss_curve, messages = self.warnings(caplog, *pick_bundle, FitConfig(steps=4000, seed=3))
+        assert loss_curve[-1][0] < 4000 and messages == []
+
+    def test_annealing_only_budget_does_not_warn(self, caplog, pick_bundle):
+        # A budget of at most ANNEAL_STEPS has no checks: it trains every step.
+        loss_curve, messages = self.warnings(caplog, *pick_bundle,
+                                             FitConfig(nu=math.inf, steps=ANNEAL_STEPS, seed=3))
+        assert loss_curve[-1][0] == ANNEAL_STEPS and messages == []
+
+
 class TestLossLog:
     """fit_array evaluates the loss only at the schedule points its loss curve keeps."""
 
+    # Past 600 steps the curve keeps the annealing phase's last 40 points
+    # (steps 483 to 600, every 3), then one check every 100 steps up to the
+    # stop: this flat bundle stops at the first check, step 700, so 41.
     @pytest.mark.parametrize("steps, n_calls",
-                             [(4000, 40), (3000, 40), (400, 40), (300, 60), (50, 20), (7, 7)])
+                             [(4000, 41), (3000, 41), (400, 40), (300, 60), (50, 20), (7, 7)])
     def test_only_the_kept_points_are_evaluated(self, monkeypatch, steps, n_calls):
         calls = []
         real = rip.estimator.nll_loss_array
@@ -418,14 +476,19 @@ class TestLossLog:
         data = np.random.default_rng(0).normal(0, 1, (2, 5, 1))
         _, loss_curve = fit_array(data, np.linspace(0, 1, 5),
                                   FitConfig(hidden=(4, 4), steps=steps, seed=0))
+        stop = loss_curve[-1][0]
         schedule = log_schedule(steps)
-        kept = schedule[-max(20, 2 * max(1, len(schedule) // 10)):]
+        anneal = [s for s in schedule if s <= ANNEAL_STEPS]
+        kept = anneal[-max(20, 2 * max(1, len(anneal) // 10)):]
+        kept += [s for s in schedule if ANNEAL_STEPS < s <= stop]
         assert [s for s, _ in loss_curve] == kept
         assert [l for _, l in loss_curve] == calls
-        assert len(calls) == n_calls and kept[-1] == steps
+        assert len(calls) == n_calls and (stop == steps or steps > ANNEAL_STEPS)
 
     def test_window_at_the_benchmark_step_counts(self):
-        assert log_schedule(4000)[-40:] == list(range(3220, 4001, 20))
+        assert log_schedule(4000)[:200][-40:] == list(range(483, 601, 3))
+        assert log_schedule(4000)[200:] == list(range(700, 4001, 100))
+        assert log_schedule(600) == log_schedule(4000)[:200]
         assert log_schedule(7) == list(range(1, 8))
 
 
@@ -450,6 +513,21 @@ class TestReferenceLoop:
         np.testing.assert_array_equal(est.theta, theta)
         assert len(curve) == len(log_schedule(steps))
         assert loss_curve == curve[-len(loss_curve):]
+
+    # A budget past the annealing horizon: on this pick bundle the t fit
+    # stops on a plateau after several checks and the Gaussian fit runs to
+    # its cap still falling, so both ends of the stop rule are compared.
+    @pytest.mark.parametrize("nu", [1.5, math.inf], ids=["t", "gaussian"])
+    def test_bit_equal_past_the_annealing_horizon(self, pick_bundle, nu):
+        data, grid = pick_bundle
+        theta, curve = oracles.reference_fit(data, grid, nu, steps=1500, seed=3)
+        est, loss_curve = fit_array(data, grid, FitConfig(nu=nu, steps=1500, seed=3))
+        np.testing.assert_array_equal(est.theta, theta)
+        assert loss_curve == curve[-len(loss_curve):]
+        stop = loss_curve[-1][0]
+        assert curve[-1][0] == stop
+        assert [s for s, _ in curve] == [s for s in log_schedule(1500) if s <= stop]
+        assert (800 <= stop < 1500) if nu == 1.5 else stop == 1500
 
 
 class TestRobustnessOrdering:
