@@ -153,6 +153,11 @@ def _policy_config(args, oracle) -> PolicyConfig:
     if vars(args).get("backend") == "remote":
         if not args.endpoint:
             raise _UsageError("--endpoint is required with --backend remote")
+        # The remote policy makes its own samples; only the task shape,
+        # which sets the generated context, reaches it.
+        ignored = _given(args, [flag for flag in _ORACLE_FLAGS if flag != "--task-shape"])
+        if ignored:
+            raise _UsageError(f"{', '.join(ignored)} need --backend synthetic")
         remote = _config(RemoteConfig(args.endpoint), args, _REMOTE_FLAGS)
     else:
         ignored = _given(args, ("--endpoint", *_REMOTE_FLAGS))
@@ -168,8 +173,9 @@ def _policy_config(args, oracle) -> PolicyConfig:
 def cmd_aggregate(args) -> int:
     seed = args.seed
     if args.method == "single_sample":
-        # One raw query, no fit: a query count or a fit setting would do nothing.
-        ignored = _given(args, (*_FIT_FLAGS, "--q"))
+        # One raw query, no fit and no report: a query count, a fit setting
+        # or a report path would do nothing.
+        ignored = _given(args, (*_FIT_FLAGS, "--q", "--report"))
         if ignored:
             raise _UsageError(f"--method single_sample takes no {', '.join(ignored)}")
     # One aggregation on the sweep's task, by default.
@@ -192,13 +198,14 @@ def cmd_aggregate(args) -> int:
     out = Path(args.out)
     jsonio.save_trajectory(trajectory, out)
     print(f"wrote {out}")
-    if report is not None and args.report:
+    report_path = "report.json" if args.report is None else args.report
+    if report is not None and report_path:
         payload = report.to_dict()
         payload["output_trajectory_path"] = str(out)
         if consensus is not None:
             payload["consensus_rmse"] = bench.trajectory_rmse(trajectory, consensus)
-        jsonio.save_json(payload, args.report)
-        print(f"wrote {args.report}")
+        jsonio.save_json(payload, report_path)
+        print(f"wrote {report_path}")
     return EXIT_OK
 
 
@@ -280,7 +287,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", help="context JSON path (default: generate a synthetic task)")
     p.add_argument("--out", default="trajectory.json")
-    p.add_argument("--report", default="report.json")
+    p.add_argument("--report", help="run report path (default: report.json; rip only)")
     p.add_argument("--endpoint", help="remote completion endpoint URL")
     _add_flags(p, _REMOTE_FLAGS)
     p.add_argument("--preamble-file", help="override the built-in prompt preamble")

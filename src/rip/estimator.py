@@ -19,10 +19,10 @@ Each training step writes its forward pass, likelihood terms and Adam
 update into buffers allocated once per fit.
 
 The variance-floor warmup and the learning-rate decay anneal over at most
-``ANNEAL_STEPS`` steps, whatever the budget. A larger budget is a cap: past
-the annealing phase the full-bundle loss is checked every ``CHECK_EVERY``
-steps, and the fit stops once it has plateaued. The loss is evaluated only
-at the points the fit's loss curve keeps (see ``fit_array``).
+``ANNEAL_STEPS`` steps, whatever the budget. A larger budget is a cap: the
+fit stops at the first check past the annealing phase whose loss has
+plateaued. The full-bundle loss is evaluated every ``CHECK_EVERY`` steps, at
+the end of the annealing phase and at the last step, and nowhere else.
 
 The analytic gradient runs the training step's own gradient function in
 float64, so the finite-difference check in the bench CLI and tests
@@ -60,16 +60,13 @@ _TRAIN_DTYPE = np.float32
 # Absolute lower bound on every fitted variance, in raw units.
 VAR_FLOOR = 1e-6
 
-# Loss points at the end of a fit that a run report keeps; fit_array always
-# evaluates at least these.
-REPORT_TAIL = 20
-
 # The warmup and the learning-rate decay run over min(steps, ANNEAL_STEPS)
-# steps. Past that horizon the loss is checked every CHECK_EVERY steps, and
-# the fit stops at the first check whose loss fell by less than PLATEAU_TOL
-# nats per value (Q*T*D values) since the check before. On 30 Q=5 pick
-# episodes, budgets of 300, 600, 1,000 and 4,000 steps scored the same
-# successes and RMSE within 0.1 mm, so steps past a plateau buy nothing.
+# steps. The loss is evaluated every CHECK_EVERY steps (ANNEAL_STEPS is a
+# multiple of it), and past that horizon the fit stops at the first check
+# whose loss fell by less than PLATEAU_TOL nats per value (Q*T*D values)
+# since the check before. On 30 Q=5 pick episodes, budgets of 300, 600,
+# 1,000 and 4,000 steps scored the same successes and RMSE within 0.1 mm,
+# so steps past a plateau buy nothing.
 ANNEAL_STEPS = 600
 CHECK_EVERY = 100
 PLATEAU_TOL = 2.5e-3
@@ -436,21 +433,17 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     variance-floor warmup and the cosine learning-rate decay run over the
     horizon ``h = min(config.steps, ANNEAL_STEPS)``; after it the rate
     stays at its final 1% and the floor at its final value. Past the
-    horizon the full-bundle loss is checked every ``CHECK_EVERY`` steps
-    and at the cap, and the fit stops at the first check whose loss fell
-    by less than ``PLATEAU_TOL * Q * T * D`` nats since the check before
-    (a rise included). A budget of at most ``ANNEAL_STEPS`` trains every
-    step. A fit that reaches a larger cap with its last check still
-    falling logs a "loss still falling" warning.
+    horizon the fit stops at the first check whose loss fell by less than
+    ``PLATEAU_TOL * Q * T * D`` nats since the check before (a rise
+    included). A budget of at most ``ANNEAL_STEPS`` trains every step. A
+    fit that reaches a larger cap with its last check still falling logs
+    a "loss still falling" warning.
 
     Returns the fitted estimator and its loss curve of (step, full-bundle
-    NLL) pairs. The annealing phase's log schedule is every
-    ``max(1, h // 200)`` steps plus step h, n points; the curve keeps its
-    last ``max(REPORT_TAIL, 2 * max(1, n // 10))`` points, or all n when n
-    is smaller, then every check up to the stop. At a cap above 600
-    steps that is steps 483 to 600, every 3 steps (40 points), then
-    steps 700, 800, ... up to the stop; at 7 steps it is all 7. Only those
-    points are evaluated; the report reads the last ``REPORT_TAIL``.
+    NLL) pairs, evaluated on one rule: every ``CHECK_EVERY`` steps, at
+    step h and at the last step. At a 4,000-step cap that is steps 100,
+    200, ... up to the stop; at 250 steps it is 100, 200 and 250, and at
+    7 steps step 7 alone. The loss is evaluated nowhere else.
 
     The loop trains a float32 copy of the parameters on float32 data,
     features, gradients, Adam moments and pass buffers, which makes a fit
@@ -508,13 +501,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
     est = StudentTEstimator(theta=theta, nu=config.nu, hidden=tuple(config.hidden),
                             channel_shift=shift, channel_scale=scale)
 
-    # The loss schedule of the docstring: the last `window` points of the
-    # annealing phase's schedule run, then the plateau checks.
     horizon = min(config.steps, ANNEAL_STEPS)
-    log_every = max(1, horizon // 200)
-    n_logs = -(-horizon // log_every)
-    window = min(n_logs, max(REPORT_TAIL, 2 * max(1, n_logs // 10)))
-    first_log = min((n_logs - window + 1) * log_every, horizon)
     tolerance = PLATEAU_TOL * data.size
     curve = []
 
@@ -553,11 +540,7 @@ def fit_array(data: np.ndarray, grid: np.ndarray, config: FitConfig) -> tuple[St
 
         # The last step always logs, and a stop follows a log, so the
         # estimator leaves the loop holding the trained parameters.
-        if step <= horizon:
-            log = step >= first_log and (step % log_every == 0 or step == horizon)
-        else:
-            log = (step - horizon) % CHECK_EVERY == 0 or step == config.steps
-        if log:
+        if step % CHECK_EVERY == 0 or step == horizon or step == config.steps:
             theta[...] = theta_train
             curve.append((step, nll_loss_array(data, grid, est)))
             if step > horizon and curve[-2][1] - curve[-1][1] < tolerance:

@@ -14,9 +14,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .core import Trajectory, align_bundle
 from .errors import PipelineError
-from .estimator import REPORT_TAIL, FitConfig, extract_mean, fit_with_trace
+from .estimator import FitConfig, extract_mean, fit_with_trace
 from .policy import PolicyConfig, sample_trajectories
 from .tokens import PolicyContext
+
+# Loss points at the end of a fit that a run report keeps.
+REPORT_TAIL = 20
 
 
 def _jsonable(value):

@@ -184,16 +184,15 @@ def _ref_nll(data, grid, layers, shift, scale, nu):
 
 
 def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-2, seed=0):
-    """The training loop with its allocations and every loss log.
+    """The training loop with its allocations.
 
     The warmup and the learning-rate decay run over the first
-    ``h = min(steps, 600)`` steps. After step h the loss is checked every
-    100 steps and at ``steps``, and the loop stops at the first check
-    whose loss fell by less than ``2.5e-3 * data.size`` since the check
+    ``h = min(steps, 600)`` steps. The loss is logged every 100 steps, at
+    step h and at ``steps``; after step h the loop stops at the first log
+    whose loss fell by less than ``2.5e-3 * data.size`` since the log
     before. Returns the trained float64 parameter vector (``_flat_params``
-    layout) and the loss curve at every point of the log schedule: every
-    ``max(1, h // 200)`` steps and step h, then every check up to the
-    stop, the curve's last step.
+    layout) and the loss curve of every log up to the stop, the curve's
+    last step.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -239,7 +238,6 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
     v = np.zeros_like(theta_train)
     buf = np.empty_like(theta_train)
     horizon = min(steps, 600)
-    log_every = max(1, horizon // 200)
     curve = []
     w = 1.0 / (n_q * n_t)
     h1_buf, h2_buf, out, dout = (np.empty((2, n_t, n), dtype=f32) for n in (h1, h2, n_d, n_d))
@@ -300,11 +298,7 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
         buf *= lr * (1.0 - beta1) / (1.0 - beta1 ** step) / v_scale
         theta_train -= buf
 
-        if step <= horizon:
-            logs = step % log_every == 0 or step == horizon
-        else:
-            logs = (step - horizon) % 100 == 0 or step == steps
-        if logs:
+        if step % 100 == 0 or step == horizon or step == steps:
             theta[...] = theta_train
             curve.append((step, _ref_nll(data, grid, eval_layers, shift, scale, nu)))
             if step > horizon and curve[-2][1] - curve[-1][1] < 2.5e-3 * data.size:

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import rip
+from rip.bench import task_success
 
 try:  # Python 3.11+
     from re import _constants as sre_constants, _parser as sre_parse
@@ -50,6 +51,19 @@ def test_estimator_stores_each_fact_once():
     # The flat vector theta is the one view of the parameters.
     assert not hasattr(rip.StudentTEstimator, "params")
     assert not hasattr(rip.estimator, "PARAM_KEYS")
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's Python quick start, run as written: every sample decodes,
+    # it prints the slot count and the final loss, and the aggregate
+    # solves the task.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    report = names["report"]
+    assert capsys.readouterr().out == f"Counter({{'ok': 5}}) {report.final_loss}\n"
+    assert task_success(names["trajectory"], names["consensus"])["success"]
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import shlex
@@ -83,6 +84,39 @@ class TestAggregate:
         assert run(["aggregate", "--q", "2", "--fit-steps", "50", "--out", str(out),
                     "--report", str(tmp_path / "r.json"), flag, value, *backend]) == EXIT_USAGE
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preamble.txt"]
+
+    # The remote policy makes its own samples, so the synthetic oracle's
+    # settings are usage errors with --backend remote, refused before any
+    # query is posted. --task-shape stays: it shapes the generated context.
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-scale", "0.01"), ("--hallucination-prob", "0.4"),
+        ("--hallucination-offset", "0.3"), ("--hallucination-mode", "random-walk"),
+    ])
+    def test_synthetic_only_flags_refused_on_remote(self, tmp_path, monkeypatch, flag, value):
+        posts = []
+
+        def post(*args):
+            posts.append(args)
+            raise OSError("no endpoint in tests")
+
+        monkeypatch.setattr("rip.policy._default_post", post)
+        assert run(["aggregate", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+                    "--q", "2", "--out", str(tmp_path / "t.json"),
+                    "--report", str(tmp_path / "r.json"), flag, value]) == EXIT_USAGE
+        assert posts == [] and list(tmp_path.iterdir()) == []
+
+    def test_report_refused_with_single_sample(self, tmp_path, capsys):
+        # single_sample writes no report, so a report path is a usage error.
+        assert run(["aggregate", "--method", "single_sample", "--seed", "1",
+                    "--out", str(tmp_path / "t.json"),
+                    "--report", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        assert "takes no --report" in capsys.readouterr().err
+
+    def test_report_written_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["aggregate", "--q", "2", "--fit-steps", "50", "--out", "t.json"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "t.json"]
 
     # single_sample asks once and fits nothing, so a query count or a fit
     # setting is a usage error, and the command writes nothing.
@@ -396,28 +430,38 @@ class TestFlagsReachConfigs:
         assert subcommand_options() == OPTIONS
 
     def test_aggregate(self, monkeypatch, tmp_path):
+        # The remote backend takes the remote flags and --task-shape, the
+        # synthetic backend the oracle's; together they are every flag.
         calls = capture_calls(monkeypatch, "rip.cli.run_rip")
         preamble = tmp_path / "preamble.txt"
         preamble.write_text("PREAMBLE", encoding="utf-8")
         log = str(tmp_path / "queries.jsonl")
-        argv = ["aggregate", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1",
-                "--q", "7", "--seed", "3", "--model", "m2", "--temperature", "0.5",
-                "--timeout", "7.5", "--max-retries", "4", "--preamble-file", str(preamble),
-                "--log-queries", log, "--nu", "2.5"] + self.FIT + self.ORACLE
-        assert flags_in(argv) == OPTIONS["aggregate"] - NOT_CONFIG
-        with pytest.raises(_Captured):
-            main(argv)
+        remote = ["aggregate", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+                  "--q", "7", "--seed", "3", "--model", "m2", "--temperature", "0.5",
+                  "--timeout", "7.5", "--max-retries", "4", "--preamble-file", str(preamble),
+                  "--log-queries", log, "--nu", "2.5", "--task-shape", "reach"] + self.FIT
+        synthetic = ["aggregate", "--backend", "synthetic", "--seed", "3"] + self.ORACLE
+        assert flags_in(remote + synthetic) == OPTIONS["aggregate"] - NOT_CONFIG
+        for argv in (remote, synthetic):
+            with pytest.raises(_Captured):
+                main(argv)
         (_context, policy, fit), _ = calls[0]
         assert fit == FitConfig(hidden=(8, 12), nu=2.5, steps=123,
                                 learning_rate=0.02, seed=3)
+        sweep_oracle = bench.SweepSettings().oracle
         assert policy == PolicyConfig(
             backend="remote", query_count=7,
-            synthetic=SyntheticOracleConfig(
-                seed=3, task_shape="reach", noise_scale=0.001, hallucination_prob=0.4,
-                hallucination_offset=0.3, hallucination_mode="random-walk"),
+            synthetic=dataclasses.replace(sweep_oracle, seed=3, task_shape="reach"),
             remote=RemoteConfig(endpoint="http://127.0.0.1:9/v1", model="m2",
                                 temperature=0.5, timeout_s=7.5, max_retries=4),
             preamble="PREAMBLE", log_queries_path=log)
+        (_context, policy, _fit), _ = calls[1]
+        assert policy == PolicyConfig(
+            backend="synthetic", query_count=PolicyConfig().query_count,
+            synthetic=dataclasses.replace(
+                sweep_oracle, seed=3, task_shape="reach", noise_scale=0.001,
+                hallucination_prob=0.4, hallucination_offset=0.3,
+                hallucination_mode="random-walk"))
 
     def test_sweep(self, monkeypatch):
         calls = capture_calls(monkeypatch, "rip.bench.run_sweep")
