@@ -99,7 +99,7 @@ class SweepSettings:
         hallucination_prob=0.2,
         hallucination_offset=0.2,
     )
-    fit: FitConfig = FitConfig(steps=3000)
+    fit: FitConfig = FitConfig()
 
     def __post_init__(self):
         if not self.cells() or not all(is_integer(q) and q >= 1 for q in self.q_values):
@@ -222,7 +222,7 @@ class DownsampleBenchSettings:
         length_jitter=(0, 0),
         follow_context_demo=True,
     )
-    fit: FitConfig = FitConfig(steps=3000)
+    fit: FitConfig = FitConfig()
 
     def __post_init__(self):
         if not all(is_integer(n) and n >= 1 for n in (self.n_seeds, self.query_count)):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import bench, jsonio
 from .errors import RipError
-from .estimator import FitConfig, gradient_check
+from .estimator import ANNEAL_STEPS, FitConfig, gradient_check
 from .pipeline import run_rip, single_sample
 from .policy import (
     PolicyConfig,
@@ -77,7 +77,8 @@ _parse_tolerance = _checked(float, lambda v: 0 < v < math.inf,
 # config and replaces the fields whose flags were given.
 _FIT_FLAGS = {
     "--nu": ("nu", dict(type=_parse_nu, help="degrees of freedom, or 'inf'")),
-    "--fit-steps": ("steps", dict(type=int)),
+    "--fit-steps": ("steps", dict(
+        type=int, metavar="N", help=f"step cap: a fit runs min(N, {ANNEAL_STEPS}) steps")),
     "--fit-lr": ("learning_rate", dict(type=float)),
     "--hidden": ("hidden", dict(type=int, nargs=2, metavar=("H1", "H2"))),
 }

@@ -18,9 +18,6 @@ from .estimator import FitConfig, extract_mean, fit_with_trace
 from .policy import PolicyConfig, sample_trajectories
 from .tokens import PolicyContext
 
-# Loss points at the end of a fit that a run report keeps.
-REPORT_TAIL = 20
-
 
 def _jsonable(value):
     """Make config echoes JSON-clean: inf -> 'inf', tuples -> lists."""
@@ -43,7 +40,7 @@ class RunReport:
     decoded_count: int
     bundle_length: int
     final_loss: float
-    loss_curve_tail: list
+    loss_curve_tail: list  # the fit's whole loss curve, at most 6 points
     timings: dict
     config_echo: dict = field(default_factory=dict)
 
@@ -84,7 +81,7 @@ def run_rip(context: PolicyContext, policy: PolicyConfig,
         decoded_count=len(decoded),
         bundle_length=bundle.length,
         final_loss=loss_curve[-1][1],
-        loss_curve_tail=loss_curve[-REPORT_TAIL:],
+        loss_curve_tail=loss_curve,
         timings={
             "sample_s": t_sample - t0,
             "align_s": t_align - t_sample,

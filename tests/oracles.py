@@ -183,16 +183,13 @@ def _ref_nll(data, grid, layers, shift, scale, nu):
     return -float(np.sum(lp))
 
 
-def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-2, seed=0):
+def reference_fit(data, grid, nu, hidden=(64, 64), steps=600, learning_rate=1e-2, seed=0):
     """The training loop with its allocations.
 
-    The warmup and the learning-rate decay run over the first
-    ``h = min(steps, 600)`` steps. The loss is logged every 100 steps, at
-    step h and at ``steps``; after step h the loop stops at the first log
-    whose loss fell by less than ``2.5e-3 * data.size`` since the log
-    before. Returns the trained float64 parameter vector (``_flat_params``
-    layout) and the loss curve of every log up to the stop, the curve's
-    last step.
+    Trains ``h = min(steps, 600)`` steps, over which the warmup and the
+    learning-rate decay run. The loss is logged every 100 steps and at
+    step h. Returns the trained float64 parameter vector
+    (``_flat_params`` layout) and the loss curve of every log.
     """
     data = np.asarray(data, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -244,7 +241,7 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
     warm_start, warm_end, warm_frac = 0.09, 1e-5, 0.7
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    for step in range(1, steps + 1):
+    for step in range(1, horizon + 1):
         progress = min(1.0, step / (warm_frac * horizon))
         warm = warm_start * (warm_end / warm_start) ** progress
         floor = np.maximum(floor_std, warm)
@@ -282,10 +279,7 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
             raise FloatingPointError(f"gradient became non-finite at step {step}")
 
         # Adam on moments kept without their (1 - beta) factors.
-        if step <= horizon:
-            lr = learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / horizon)))
-        else:
-            lr = learning_rate * 0.01
+        lr = learning_rate * (0.01 + 0.99 * 0.5 * (1.0 + math.cos(math.pi * step / horizon)))
         m *= beta1
         m += grad
         v *= beta2
@@ -298,11 +292,9 @@ def reference_fit(data, grid, nu, hidden=(64, 64), steps=4000, learning_rate=1e-
         buf *= lr * (1.0 - beta1) / (1.0 - beta1 ** step) / v_scale
         theta_train -= buf
 
-        if step % 100 == 0 or step == horizon or step == steps:
+        if step % 100 == 0 or step == horizon:
             theta[...] = theta_train
             curve.append((step, _ref_nll(data, grid, eval_layers, shift, scale, nu)))
-            if step > horizon and curve[-2][1] - curve[-1][1] < 2.5e-3 * data.size:
-                break
 
     return theta, curve
 

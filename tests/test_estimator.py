@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import math
 from collections import Counter
 
@@ -14,7 +13,6 @@ from rip.core import align_bundle
 from rip.errors import TrainingError
 from rip.estimator import (
     ANNEAL_STEPS,
-    PLATEAU_TOL,
     VAR_FLOOR,
     FitConfig,
     StudentTEstimator,
@@ -57,10 +55,10 @@ def constant_estimator(mu_values, var_values, nu, hidden=(4, 4)):
 
 
 def log_schedule(steps):
-    """The steps fit_array evaluates the loss at if the fit runs to its
-    cap: every 100 steps, the annealing horizon min(steps, ANNEAL_STEPS)
-    and the cap."""
-    return sorted(set(range(100, steps + 1, 100)) | {min(steps, ANNEAL_STEPS), steps})
+    """The steps fit_array evaluates the loss at under a cap of ``steps``:
+    every 100 steps and the last step, min(steps, ANNEAL_STEPS)."""
+    last = min(steps, ANNEAL_STEPS)
+    return sorted(set(range(100, last + 1, 100)) | {last})
 
 
 def random_estimator(rng, hidden, n_channels, nu, affine=False):
@@ -277,15 +275,17 @@ class TestFit:
         assert mu_star == pytest.approx(2.0, abs=0.01)
 
     def test_loss_tail_settles(self, outlier_fits):
-        # Both default-budget fits stop on a plateau before their cap: the
-        # last check fell by less than the tolerance, and the fit ends
-        # within the tolerance of the lowest loss it logged.
+        # Both default fits train ANNEAL_STEPS steps, and the decayed rate
+        # leaves the loss at rest: the last 100 steps moved it by less than
+        # 2.5e-3 nats per fitted value, and it ends within that of the
+        # lowest loss it logged.
         data, _, _, t_curve, _, g_curve = outlier_fits
-        tolerance = PLATEAU_TOL * data.size
+        tolerance = 2.5e-3 * data.size
+        assert FitConfig().steps == ANNEAL_STEPS
         for curve in (t_curve, g_curve):
             losses = [l for _, l in curve]
-            assert curve[-1][0] < FitConfig().steps
-            assert losses[-2] - losses[-1] < tolerance
+            assert curve[-1][0] == ANNEAL_STEPS
+            assert abs(losses[-2] - losses[-1]) < tolerance
             assert losses[-1] <= min(losses) + tolerance
 
     def test_translation_equivariance(self):
@@ -422,43 +422,13 @@ def pick_bundle():
     return bundle.data, bundle.grid()
 
 
-class TestStillFallingWarning:
-    """The warning names a fit that reached a cap above ANNEAL_STEPS still falling."""
-
-    def warnings(self, caplog, data, grid, config):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="rip.estimator"):
-            _, loss_curve = fit_array(data, grid, config)
-        return loss_curve, [r.getMessage() for r in caplog.records]
-
-    def test_budget_that_runs_out_mid_descent_warns(self, caplog, pick_bundle):
-        # The Gaussian fit of this bundle is still falling by several times
-        # the tolerance when its 1,500-step cap ends it.
-        loss_curve, messages = self.warnings(caplog, *pick_bundle,
-                                             FitConfig(nu=math.inf, steps=1500, seed=3))
-        assert loss_curve[-1][0] == 1500
-        assert loss_curve[-2][1] - loss_curve[-1][1] >= PLATEAU_TOL * pick_bundle[0].size
-        assert len(messages) == 1 and "still falling at the 1500-step cap" in messages[0]
-
-    def test_plateaued_fit_does_not_warn(self, caplog, pick_bundle):
-        loss_curve, messages = self.warnings(caplog, *pick_bundle, FitConfig(steps=4000, seed=3))
-        assert loss_curve[-1][0] < 4000 and messages == []
-
-    def test_annealing_only_budget_does_not_warn(self, caplog, pick_bundle):
-        # A budget of at most ANNEAL_STEPS has no checks: it trains every step.
-        loss_curve, messages = self.warnings(caplog, *pick_bundle,
-                                             FitConfig(nu=math.inf, steps=ANNEAL_STEPS, seed=3))
-        assert loss_curve[-1][0] == ANNEAL_STEPS and messages == []
-
-
 class TestLossLog:
     """fit_array evaluates the loss only at the points its loss curve keeps."""
 
-    # Every 100 steps, at the horizon and at the last step: this flat bundle
-    # stops at the first check past the horizon, step 700, so 7 points at
-    # the larger caps, and a 650-step cap ends at its own last step.
+    # Every 100 steps and at the last step: any cap of 600 or more trains
+    # 600 steps and logs 6 points.
     @pytest.mark.parametrize("steps, n_calls", [
-        (4000, 7), (3000, 7), (650, 7), (600, 6), (400, 4), (300, 3), (50, 1), (7, 1)])
+        (4000, 6), (3000, 6), (650, 6), (600, 6), (400, 4), (300, 3), (50, 1), (7, 1)])
     def test_only_the_kept_points_are_evaluated(self, monkeypatch, steps, n_calls):
         calls = []
         real = rip.estimator.nll_loss_array
@@ -471,15 +441,13 @@ class TestLossLog:
         data = np.random.default_rng(0).normal(0, 1, (2, 5, 1))
         _, loss_curve = fit_array(data, np.linspace(0, 1, 5),
                                   FitConfig(hidden=(4, 4), steps=steps, seed=0))
-        stop = loss_curve[-1][0]
-        assert [s for s, _ in loss_curve] == [s for s in log_schedule(steps) if s <= stop]
+        assert [s for s, _ in loss_curve] == log_schedule(steps)
         assert [l for _, l in loss_curve] == calls
-        assert len(calls) == n_calls and (stop == steps or steps > ANNEAL_STEPS)
+        assert len(calls) == n_calls
 
     def test_schedule_at_the_benchmark_step_counts(self):
-        assert log_schedule(4000) == list(range(100, 4001, 100))
-        assert log_schedule(3000) == log_schedule(4000)[:30]
-        assert log_schedule(650) == [*range(100, 601, 100), 650]
+        assert log_schedule(4000) == list(range(100, 601, 100))
+        assert log_schedule(3000) == log_schedule(650) == log_schedule(4000)
         assert log_schedule(250) == [100, 200, 250]
         assert log_schedule(7) == [7]
 
@@ -506,9 +474,7 @@ class TestReferenceLoop:
         assert [s for s, _ in curve] == log_schedule(steps)
         assert loss_curve == curve
 
-    # A budget past the annealing horizon: on this pick bundle the t fit
-    # stops on a plateau after several checks and the Gaussian fit runs to
-    # its cap still falling, so both ends of the stop rule are compared.
+    # A cap past the annealing horizon: both loops train ANNEAL_STEPS steps.
     @pytest.mark.parametrize("nu", [1.5, math.inf], ids=["t", "gaussian"])
     def test_bit_equal_past_the_annealing_horizon(self, pick_bundle, nu):
         data, grid = pick_bundle
@@ -516,9 +482,20 @@ class TestReferenceLoop:
         est, loss_curve = fit_array(data, grid, FitConfig(nu=nu, steps=1500, seed=3))
         np.testing.assert_array_equal(est.theta, theta)
         assert loss_curve == curve
-        stop = curve[-1][0]
-        assert [s for s, _ in curve] == [s for s in log_schedule(1500) if s <= stop]
-        assert (800 <= stop < 1500) if nu == 1.5 else stop == 1500
+        assert [s for s, _ in curve] == log_schedule(ANNEAL_STEPS)
+
+
+class TestFitLength:
+    """A cap above ANNEAL_STEPS trains bit for bit as a cap of ANNEAL_STEPS."""
+
+    @pytest.mark.parametrize("nu", [1.5, math.inf], ids=["t", "gaussian"])
+    def test_caps_past_the_horizon_train_as_the_horizon(self, pick_bundle, nu):
+        data, grid = pick_bundle
+        base, base_curve = fit_array(data, grid, FitConfig(nu=nu, steps=ANNEAL_STEPS, seed=3))
+        for cap in (601, 650, 1500, 4000):
+            est, loss_curve = fit_array(data, grid, FitConfig(nu=nu, steps=cap, seed=3))
+            np.testing.assert_array_equal(est.theta, base.theta)
+            assert loss_curve == base_curve
 
 
 class TestRobustnessOrdering:
