@@ -109,6 +109,9 @@ def tiny_sweep_settings(**kw):
 
 
 class TestSweep:
+    def test_default_fit_is_the_package_default(self):
+        assert SweepSettings().fit == FitConfig()
+
     def test_smoke_and_csv(self, tmp_path):
         results = run_sweep(tiny_sweep_settings())
         assert len(results) == 1
@@ -156,6 +159,9 @@ class TestSweep:
 
 
 class TestDownsampleBench:
+    def test_default_fit_is_the_package_default(self):
+        assert DownsampleBenchSettings().fit == FitConfig()
+
     def test_smoke_and_rates(self, tmp_path):
         settings = DownsampleBenchSettings(
             n_seeds=2,

@@ -9,7 +9,7 @@ import pytest
 
 from rip import bench, jsonio
 from rip.cli import EXIT_OK, EXIT_RUNTIME, EXIT_THRESHOLD, EXIT_USAGE, build_parser, main
-from rip.estimator import FitConfig
+from rip.estimator import ANNEAL_STEPS, FitConfig
 from rip.policy import PolicyConfig, RemoteConfig, SyntheticOracleConfig
 
 
@@ -294,6 +294,16 @@ class TestParser:
             "aggregate", "aggregate", "sweep", "downsample-bench", "gradcheck", "preprocess"]
         for argv in commands:
             build_parser().parse_args(argv)
+
+    def test_fit_steps_help_names_the_horizon(self):
+        # Every command that fits says that a cap above the annealing
+        # horizon trains only the horizon's steps.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {name: a.help for name, p in sub.choices.items()
+                 for a in p._actions if "--fit-steps" in a.option_strings}
+        assert set(helps) == {"aggregate", "sweep", "downsample-bench"}
+        assert set(helps.values()) == {f"step cap: a fit runs min(N, {ANNEAL_STEPS}) steps"}
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys):
         # Values refused by argparse and values refused by a config exit

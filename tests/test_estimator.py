@@ -485,17 +485,29 @@ class TestReferenceLoop:
         assert [s for s, _ in curve] == log_schedule(ANNEAL_STEPS)
 
 
+@pytest.fixture(scope="module")
+def horizon_fits(pick_bundle):
+    """The pick bundle's fits under a cap of ANNEAL_STEPS, keyed by nu."""
+    data, grid = pick_bundle
+    return {nu: fit_array(data, grid, FitConfig(nu=nu, steps=ANNEAL_STEPS, seed=3))
+            for nu in (1.5, math.inf)}
+
+
 class TestFitLength:
     """A cap above ANNEAL_STEPS trains bit for bit as a cap of ANNEAL_STEPS."""
 
+    @pytest.mark.parametrize("cap", [601, 650, 1500, 4000])
     @pytest.mark.parametrize("nu", [1.5, math.inf], ids=["t", "gaussian"])
-    def test_caps_past_the_horizon_train_as_the_horizon(self, pick_bundle, nu):
+    def test_caps_past_the_horizon_train_as_the_horizon(self, pick_bundle, horizon_fits,
+                                                        nu, cap):
         data, grid = pick_bundle
-        base, base_curve = fit_array(data, grid, FitConfig(nu=nu, steps=ANNEAL_STEPS, seed=3))
-        for cap in (601, 650, 1500, 4000):
-            est, loss_curve = fit_array(data, grid, FitConfig(nu=nu, steps=cap, seed=3))
-            np.testing.assert_array_equal(est.theta, base.theta)
-            assert loss_curve == base_curve
+        base, base_curve = horizon_fits[nu]
+        est, loss_curve = fit_array(data, grid, FitConfig(nu=nu, steps=cap, seed=3))
+        np.testing.assert_array_equal(est.theta, base.theta)
+        assert loss_curve == base_curve
+
+    def test_default_cap_is_the_horizon(self):
+        assert FitConfig().steps == ANNEAL_STEPS
 
 
 class TestRobustnessOrdering:
