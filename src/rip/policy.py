@@ -151,10 +151,6 @@ class SampleResult:
         return self.status == "ok" and self.trajectory is not None
 
 
-def _derive_rng(*entropy) -> np.random.Generator:
-    return np.random.default_rng(list(entropy))
-
-
 def _with_fingertips(p0: np.ndarray) -> np.ndarray:
     """Gripper-body path (T, 3) to pose triplets (T, 3, 3)."""
     return np.stack([p0, p0 + _FINGER_LEFT, p0 + _FINGER_RIGHT], axis=1)
@@ -244,7 +240,7 @@ def make_consensus_task(
     if not all(0.0 <= x < math.inf for x in (demo_drift, demo_wobble)):
         raise ValueError("demo drift and wobble must be finite and >= 0, got "
                          f"{demo_drift!r} and {demo_wobble!r}")
-    rng = _derive_rng(seed, TASK_SHAPES.index(task_shape))
+    rng = np.random.default_rng([seed, TASK_SHAPES.index(task_shape)])
     length = int(rng.integers(length_range[0], length_range[1] + 1))
     p0, g, anchor = _consensus_path(rng, task_shape, length, pick_profile)
     consensus = _trajectory_from_points(_with_fingertips(p0), g)
@@ -266,7 +262,7 @@ def _synthetic_sample(
     query_index: int,
     hallucinate: bool | None,
 ) -> Trajectory:
-    rng = _derive_rng(cfg.seed, 1, query_index)
+    rng = np.random.default_rng([cfg.seed, 1, query_index])
     jitter = int(rng.integers(cfg.length_jitter[0], cfg.length_jitter[1] + 1))
     length = max(2, len(base) + jitter)
     sample = resample_trajectory(base, length)
@@ -309,7 +305,7 @@ def _planted_slots(cfg: SyntheticOracleConfig, q: int) -> set[int]:
     if cfg.planted_hallucinations is None:
         return set()
     count = min(cfg.planted_hallucinations, q)
-    rng = _derive_rng(cfg.seed, 2)
+    rng = np.random.default_rng([cfg.seed, 2])
     return set(int(i) for i in rng.choice(q, size=count, replace=False))
 
 

@@ -173,6 +173,16 @@ class TestDownsampleBench:
         assert code == EXIT_OK
         assert out.read_text().startswith("method,seed,success")
 
+    def test_plot_data_file(self, tmp_path):
+        plots = tmp_path / "plots"
+        code = run(["downsample-bench", "--seeds", "1", "--fit-steps", "50",
+                    "--hallucination-prob", "0", "--out", str(tmp_path / "ds.csv"),
+                    "--plot-data", str(plots)])
+        assert code == EXIT_OK
+        lines = (plots / "success_vs_method.csv").read_text().splitlines()
+        assert lines[0] == "method,success_rate"
+        assert [line.split(",")[0] for line in lines[1:]] == list(bench.DOWNSAMPLE_METHODS)
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self):
@@ -264,6 +274,26 @@ class TestConfigFile:
         cfg.write_text("[1, 2, 3]")
         assert run(["gradcheck", "--config", str(cfg)]) == EXIT_USAGE
         assert run(["gradcheck", "--config"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("append", [True, False])
+    def test_bool_value_is_a_bare_flag(self, tmp_path, append):
+        # true adds --append and false adds nothing, so a second run
+        # appends its rows or rewrites the file.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"append": append, "seeds": 1, "fit_steps": 50,
+                                   "hallucination_prob": 0}))
+        out = tmp_path / "ds.csv"
+        argv = ["downsample-bench", "--config", str(cfg), "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        once = out.read_text().splitlines()
+        assert run(argv) == EXIT_OK
+        twice = out.read_text().splitlines()
+        assert twice == (once + once[1:] if append else once)
+
+    def test_config_without_a_subcommand_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"configs": 3}))
+        assert run(["--config", str(cfg)]) == EXIT_USAGE
 
     @pytest.mark.parametrize("content", [DEEP_JSON, b'{"configs": "\xff"}'],
                              ids=["nested-too-deep", "not-utf8"])

@@ -10,7 +10,7 @@ import oracles
 
 import rip.estimator
 from rip.core import align_bundle
-from rip.errors import TrainingError
+from rip.errors import NumericalError, TrainingError
 from rip.estimator import (
     ANNEAL_STEPS,
     VAR_FLOOR,
@@ -178,6 +178,16 @@ class TestNllLoss:
         twice = nll_loss_array(np.concatenate([data, data]), grid, est)
         assert twice == pytest.approx(2 * once)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_value_is_numerical_error(self, value):
+        est = constant_estimator([0.0], [1.0], nu=1.5)
+        data = np.zeros((2, 3, 1))
+        data[1, 2, 0] = value
+        with pytest.raises(NumericalError, match=r"\(1 bad terms\)"):
+            nll_loss_array(data, np.linspace(0, 1, 3), est)
+        with pytest.raises(NumericalError):
+            log_density(value, 0.5, est)
+
     def test_loss_prefers_mean_on_data(self):
         grid = np.linspace(0, 1, 5)
         data = np.full((4, 5, 1), 2.0)
@@ -305,6 +315,12 @@ class TestFit:
         b, _ = fit_array(data, grid, FitConfig(seed=11, steps=500))
         assert np.array_equal(a.theta, b.theta)
 
+    @pytest.mark.parametrize("shape, n_grid", [((5, 3), 5), ((2, 5, 3, 1), 5), ((2, 5, 3), 4)],
+                             ids=["2-d", "4-d", "grid-not-T"])
+    def test_refuses_mismatched_shapes(self, shape, n_grid):
+        with pytest.raises(ValueError):
+            fit_array(np.zeros(shape), np.linspace(0, 1, n_grid), FitConfig(steps=1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported_with_step(self):
         data = np.full((2, 4, 1), np.nan)
@@ -380,19 +396,20 @@ class TestTrainingPrecision:
             def wrapper(*args, **kwargs):
                 result = real(*args, **kwargs)
                 # A _softplus call without buffers is the float64 loss log.
-                if name == "_backward" or kwargs.get("out") is not None:
+                if name == "_nll_gradient" or kwargs.get("out") is not None:
                     calls[name] += 1
                     seen.extend(arrays(*args, *kwargs.values(), result))
                 return result
 
             monkeypatch.setattr(rip.estimator, name, wrapper)
 
-        for name in ("_softplus", "_nll_partials", "_backward"):
+        for name in ("_softplus", "_nll_gradient"):
             spy(name)
         data = np.random.default_rng(0).normal(0, 1, shape)
         fit_array(data, np.linspace(0, 1, shape[1]), FitConfig(nu=nu, seed=0, steps=5))
-        # Every step hands its softplus and its partials their out buffers.
-        assert calls == {"_softplus": 5, "_nll_partials": 5, "_backward": 5}
+        # Each step's arrays, buffers, gradient layers and result, and its
+        # softplus with the buffers it writes into.
+        assert calls == {"_softplus": 5, "_nll_gradient": 5}
         assert {a.dtype for a in seen} == {np.dtype(np.float32)}
 
     def test_matches_float64_training(self, monkeypatch):

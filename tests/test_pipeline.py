@@ -188,6 +188,14 @@ class TestSingleSample:
             traj.to_array()[:, :9] - consensus.to_array()[:, :9], axis=1).mean()
         assert dev >= 0.07
 
+    def test_undecodable_query_is_pipeline_error(self, monkeypatch):
+        ctx, _ = make_consensus_task(13, "reach")
+        monkeypatch.setattr(rip.policy, "_default_post",
+                            lambda url, body, timeout, headers: {"completion": "no numbers"})
+        remote = RemoteConfig(endpoint="https://policy.example/v1/complete", max_retries=0)
+        with pytest.raises(PipelineError):
+            single_sample(ctx, PolicyConfig(backend="remote", remote=remote))
+
     def test_deterministic(self):
         ctx, _ = make_consensus_task(13, "pick")
         pol = policy(13, shape="pick", noise_scale=0.005)

@@ -310,6 +310,16 @@ class TestRemoteClient:
         result = client.query_one("prompt", 0)
         assert result.ok
 
+    @pytest.mark.parametrize("choice, status", [("text", "ok"), ("empty", "malformed")])
+    def test_completion_style_choice(self, choice, status):
+        # A choice that carries neither "text" nor a message is a failed
+        # slot, not an exception.
+        _, consensus = make_consensus_task(0, "reach")
+        first = {"text": encode_action_block(consensus)} if choice == "text" else {}
+        client = RemotePolicyClient(remote_config(max_retries=0),
+                                    post_fn=lambda *args: {"choices": [first]})
+        assert client.query_one("prompt", 0).status == status
+
     def test_audit_log_written(self, tmp_path):
         from rip.policy import _QueryAudit
 
@@ -644,6 +654,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PolicyConfig(backend="synthetic", **kwargs)
         PolicyConfig(backend="remote", **{"remote": RemoteConfig(endpoint="x"), **kwargs})
+
+    @pytest.mark.parametrize("make, kwargs", [
+        (SyntheticOracleConfig, dict(task_shape="juggle")),
+        (PolicyConfig, dict(backend="carrier-pigeon")),
+    ], ids=["task-shape", "backend"])
+    def test_unknown_names_rejected(self, make, kwargs):
+        with pytest.raises(ValueError):
+            make(**kwargs)
 
     def test_temperature_nonnegative(self):
         with pytest.raises(ValueError):
